@@ -11,6 +11,11 @@ passes.  Like :func:`repro.nn.rnn.lstm_sweep` it is a single custom
 autograd node whose backward replays the per-step loop's exact gradient
 closures so fused-vs-loop outputs *and* gradients stay equal (``==``);
 ``tests/nn/test_fused.py`` enforces this through the seq2seq decoder.
+
+:func:`attend` and :func:`attend_backward` are one query's forward and
+gradient replay in raw numpy; ``forward_batched`` and the seq2seq
+placer's fused decode (:func:`repro.placement.seq2seq._decode_sweep`,
+where each context feeds the next decoder input) share them.
 """
 
 from __future__ import annotations
@@ -23,7 +28,48 @@ from .module import Module, Parameter
 from .layers import Linear
 from .tensor import Tensor, is_grad_enabled
 
-__all__ = ["BahdanauAttention"]
+__all__ = ["BahdanauAttention", "attend", "attend_backward"]
+
+
+def attend(
+    query: np.ndarray, memory: np.ndarray, memory_proj: np.ndarray, w_query: np.ndarray, v: np.ndarray
+) -> tuple:
+    """Raw-numpy :meth:`BahdanauAttention.forward` for one ``(B, Q)`` query.
+
+    The same expressions as the tensor path (``scores - max`` equals its
+    ``scores + (-max)`` exactly).  Returns ``(context, cache)``; ``cache``
+    is what :func:`attend_backward` needs.
+    """
+    T, B = memory.shape[0], memory.shape[1]
+    tanh_pre = np.tanh(memory_proj + query @ w_query.T)
+    scores = (tanh_pre * v).sum(axis=2)
+    e = np.exp(scores - scores.max(axis=0, keepdims=True))
+    ssum = e.sum(axis=0, keepdims=True)
+    weights = e / ssum
+    context = (memory * weights.reshape(T, B, 1)).sum(axis=0)
+    return context, (tanh_pre, e, ssum, weights)
+
+
+def attend_backward(g_context: np.ndarray, memory: np.ndarray, cache: tuple, v: np.ndarray) -> tuple:
+    """Replay one :meth:`BahdanauAttention.forward` call's gradient closures.
+
+    ``g_context`` is ``(B, M)``.  Returns the step's contributions
+    ``(g_memory, g_memory_proj, g_v, g_q)``, where ``g_q`` is the gradient
+    of the projected query ``query @ w_query.T``; callers reduce them across
+    steps in the order the loop graph runs its closures.
+    """
+    tanh_pre, e, ssum, weights = cache
+    T, B = weights.shape
+    A = v.shape[0]
+    g_mm = np.broadcast_to(np.expand_dims(g_context, 0), memory.shape)
+    g_memory = g_mm * weights.reshape(T, B, 1)
+    g_w = (g_mm * memory).sum(axis=(2,), keepdims=True).reshape(T, B)
+    g_ssum = (-g_w * e / (ssum**2)).sum(axis=(0,), keepdims=True)
+    g_e = g_w / ssum + np.broadcast_to(g_ssum, (T, B))
+    g_mul = np.broadcast_to(np.expand_dims(g_e * e, 2), (T, B, A))
+    g_v = (g_mul * tanh_pre).sum(axis=(0, 1))
+    g_add = g_mul * v * (1.0 - tanh_pre**2)
+    return g_memory, g_add, g_v, g_add.sum(axis=(0,))
 
 
 class BahdanauAttention(Module):
@@ -96,8 +142,6 @@ class BahdanauAttention(Module):
             memory_proj = self.precompute(memory)
         w_query, v = self.w_query.weight, self.v
         G, B = queries.shape[0], queries.shape[1]
-        T = memory.shape[0]
-        A = v.shape[0]
         mem = memory.data
         q_all = queries.data @ w_query.data.T  # (G, B, A): stacked GEMM,
         # row-for-row identical to the loop's per-step (B, Q) matmuls.
@@ -130,23 +174,9 @@ class BahdanauAttention(Module):
             # forward step order (the stack/logits chain visits step
             # subgraphs ascending), so contributions reduce ascending.
             for i in range(G):
-                w_i = weights[:, i, :, None]  # the loop's (T, B, 1) reshape
-                e_i = e[:, i]
-                ssum_i = ssum[:, i]
-                tanh_i = tanh_pre[:, i]
-                g_mm = np.broadcast_to(np.expand_dims(grad[i], 0), mem.shape)
-                mem_step = g_mm * w_i
-                g_wr = (g_mm * mem).sum(axis=(2,), keepdims=True)
-                g_w = g_wr.reshape(T, B)
-                g_e = g_w / ssum_i
-                g_ssum = (-g_w * e_i / (ssum_i**2)).sum(axis=(0,), keepdims=True)
-                g_e = g_e + np.broadcast_to(g_ssum, (T, B))
-                g_scores = g_e * e_i
-                g_mul = np.broadcast_to(np.expand_dims(g_scores, 2), (T, B, A))
-                g_tanh = g_mul * v.data
-                v_step = (g_mul * tanh_i).sum(axis=(0, 1))
-                g_add = g_tanh * (1.0 - tanh_i**2)
-                g_q = g_add.sum(axis=(0,))
+                mem_step, g_add, v_step, g_q = attend_backward(
+                    grad[i], mem, (tanh_pre[:, i], e[:, i], ssum[:, i], weights[:, i]), v.data
+                )
                 g_queries[i] += g_q @ w_query.data
                 wq_steps[i] = (queries.data[i].T @ g_q).T
                 if g_memory is None:

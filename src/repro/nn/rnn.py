@@ -22,6 +22,10 @@ finite-difference check.  :class:`LSTM` uses the sweep by default
 consumer (:class:`~repro.placement.seq2seq.Seq2SeqPlacer`) discards it,
 and callers that need to backpropagate through the final state can pass
 ``fused=False``.
+
+:func:`gate_forward` and :func:`gate_backward` hold the one copy of the
+raw-numpy LSTM gate step and its gradient replay; ``lstm_sweep`` and the
+seq2seq placer's fused decoder both run on them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .functional import concatenate, stack
 from .module import Module, Parameter
 from .tensor import Tensor, is_grad_enabled
 
-__all__ = ["LSTMCell", "LSTM", "BiLSTM", "lstm_sweep"]
+__all__ = ["LSTMCell", "LSTM", "BiLSTM", "lstm_sweep", "gate_forward", "gate_backward"]
 
 State = Tuple[Tensor, Tensor]
 
@@ -87,6 +91,50 @@ class LSTMCell(Module):
         return z, z
 
 
+def gate_forward(gates: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """One raw-numpy LSTM step from the pre-activation ``gates`` ``(B, 4H)``.
+
+    The same expressions, slice for slice, as :meth:`LSTMCell._apply_gates`
+    on tensors.  Returns ``(h_next, c_next, cache)``; ``cache`` is what
+    :func:`gate_backward` needs.
+    """
+    H = gates.shape[-1] // 4
+    i = 1.0 / (1.0 + np.exp(-gates[:, 0 * H : 1 * H]))
+    f = 1.0 / (1.0 + np.exp(-gates[:, 1 * H : 2 * H]))
+    g = np.tanh(gates[:, 2 * H : 3 * H])
+    o = 1.0 / (1.0 + np.exp(-gates[:, 3 * H : 4 * H]))
+    c_next = f * c + i * g
+    tanh_c = np.tanh(c_next)
+    return o * tanh_c, c_next, (c, i, f, g, o, tanh_c)
+
+
+def gate_backward(
+    g_h: np.ndarray, g_c: Optional[np.ndarray], cache: tuple
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay one step's gate closures: ``g_h``/``g_c`` are the gradients of
+    the step's ``h_next``/``c_next`` (``g_c`` is None on the last step).
+
+    Returns the pre-activation gradient ``(B, 4H)`` and the gradient of the
+    incoming cell state.  Each expression matches the autograd closure it
+    replaces (sigmoid's ``g * out * (1 - out)``, left to right), and the
+    gates are assembled by adding into a zero array the way four slice
+    scatters would — that is what keeps the fused sweeps ``==`` the loop.
+    """
+    c_prev, i, f, g_gate, o, tanh_c = cache
+    H = i.shape[-1]
+    g_o = g_h * tanh_c
+    g_tanh = g_h * o
+    local = g_tanh * (1.0 - tanh_c**2)
+    g_ctot = local if g_c is None else g_c + local
+    g_f = g_ctot * c_prev
+    gg = np.zeros((g_h.shape[0], 4 * H))
+    gg[:, 0 * H : 1 * H] += (g_ctot * g_gate) * i * (1.0 - i)
+    gg[:, 1 * H : 2 * H] += g_f * f * (1.0 - f)
+    gg[:, 2 * H : 3 * H] += (g_ctot * i) * (1.0 - g_gate**2)
+    gg[:, 3 * H : 4 * H] += g_o * o * (1.0 - o)
+    return gg, g_ctot * f
+
+
 def lstm_sweep(
     proj: Tensor, cell: LSTMCell, state: State, *, reverse: bool = False
 ) -> Tuple[Tensor, State]:
@@ -117,19 +165,12 @@ def lstm_sweep(
     b = bias.data
     h, c = state[0].data, state[1].data
     outputs = np.empty((T, B, H))
-    # Per-step cache for the backward replay: (h_prev, c_prev, i, f, g, o,
-    # tanh_c), indexed by sweep position k (not time t).
+    # Per-step cache for the backward replay: (h_prev, gate cache), indexed
+    # by sweep position k (not time t).
     cache = []
     for t in order:
-        gates = proj.data[t] + h @ w_T + b
-        i = 1.0 / (1.0 + np.exp(-gates[:, 0 * H : 1 * H]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, 1 * H : 2 * H]))
-        g = np.tanh(gates[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * H : 4 * H]))
-        c_next = f * c + i * g
-        tanh_c = np.tanh(c_next)
-        h_next = o * tanh_c
-        cache.append((h, c, i, f, g, o, tanh_c))
+        h_next, c_next, gate_cache = gate_forward(proj.data[t] + h @ w_T + b, c)
+        cache.append((h, gate_cache))
         h, c = h_next, c_next
         outputs[t] = h
 
@@ -151,21 +192,10 @@ def lstm_sweep(
         w_steps = [None] * T
         for k in range(T - 1, -1, -1):
             t = order[k]
-            h_prev, c_prev, i, f, g_gate, o, tanh_c = cache[k]
+            h_prev, gate_cache = cache[k]
             if g_h is None:
                 g_h = grad[t].copy()
-            g_o = g_h * tanh_c
-            g_tanh = g_h * o
-            local = g_tanh * (1.0 - tanh_c**2)
-            g_ctot = local if g_c is None else g_c + local
-            g_f = g_ctot * c_prev
-            g_i = g_ctot * g_gate
-            g_g = g_ctot * i
-            gg = np.zeros((B, 4 * H))
-            gg[:, 0 * H : 1 * H] += g_i * i * (1.0 - i)
-            gg[:, 1 * H : 2 * H] += g_f * f * (1.0 - f)
-            gg[:, 2 * H : 3 * H] += g_g * (1.0 - g_gate**2)
-            gg[:, 3 * H : 4 * H] += g_o * o * (1.0 - o)
+            gg, g_c = gate_backward(g_h, g_c, gate_cache)
             g_proj[t] += gg
             b_step = gg.sum(axis=0)
             w_steps[t] = (h_prev.T @ gg).T
@@ -176,12 +206,11 @@ def lstm_sweep(
             if k > 0:
                 g_h = grad[order[k - 1]].copy()
                 g_h += gg @ w
-                g_c = g_ctot * f
             else:
                 if state[0].requires_grad:
                     state[0]._accumulate(gg @ w)
                 if state[1].requires_grad:
-                    state[1]._accumulate(g_ctot * f)
+                    state[1]._accumulate(g_c)
         if w_hh.requires_grad:
             g_w = w_steps[0].copy()
             for t in range(1, T):

@@ -13,6 +13,16 @@ or **after** it (Hierarchical Planner's choice, Fig. 4b):
 
 All forward passes are batched over placements (time-major ``(G, B, D)``),
 so a PPO minibatch is a single pass.
+
+By default (``fused=True``) both attention modes run the decoder recurrence
+without per-step autograd nodes.  Teacher forcing makes every decoder input known
+upfront except the ``"before"`` context, which depends on the previous
+hidden state; :func:`_decode_sweep` therefore runs the recurrence —
+attention included — in raw numpy and backpropagates through it with a
+hand-written BPTT that replays the loop graph's closures in its
+accumulation order, so results stay bit-for-bit equal to the per-step loop
+(``fused=False``, the test oracle).  Sampling runs the same raw-numpy step
+code.
 """
 
 from __future__ import annotations
@@ -22,133 +32,136 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..nn import BahdanauAttention, BiLSTM, LSTMCell, Linear, Module, Parameter, Tensor, init, no_grad
+from ..nn.attention import attend, attend_backward
 from ..nn.functional import concatenate, log_softmax, softmax, stack
+from ..nn.rnn import gate_backward, gate_forward
 from ..nn.tensor import is_grad_enabled
 
 __all__ = ["Seq2SeqPlacer"]
 
 
-def _decode_sweep(x: Tensor, embedding: Parameter, prev_idx: np.ndarray, cell: LSTMCell) -> Tensor:
+def _lstm_step(cell: LSTMCell, parts, h: np.ndarray, c: np.ndarray):
+    """One raw-numpy decoder step on the input ``concatenate(parts)``.
+
+    The same expressions as :meth:`LSTMCell.forward` on the loop graph;
+    returns ``(inp, h_next, c_next, gate_cache)``.
+    """
+    inp = np.concatenate(parts, axis=1)
+    gates = inp @ cell.w_ih.data.T + h @ cell.w_hh.data.T + cell.bias.data
+    return (inp,) + gate_forward(gates, c)
+
+
+def _decode_sweep(
+    x: Tensor,
+    embedding: Parameter,
+    prev_idx: np.ndarray,
+    cell: LSTMCell,
+    attention: Optional[Tuple[BahdanauAttention, Tensor, Tensor]] = None,
+) -> Tensor:
     """Fused teacher-forced decoder: one autograd node for the whole decode.
 
     Per step the loop gathers the previous decision's embedding, concatenates
-    it with ``x[i]``, projects through ``w_ih`` and runs one LSTM step; under
-    teacher forcing every ``prev_idx`` row is known upfront, so the whole
-    sweep fuses.  Like :func:`repro.nn.rnn.lstm_sweep` the backward replays
-    the loop graph's exact closures — same expressions, same accumulation
-    orders (reverse time for the bias/recurrence chain and the ``w_ih``/
-    embedding contributions, ascending time for the recurrent weight's
-    transpose nodes) — so outputs *and* gradients are equal (``==``) to the
-    step-by-step path.
+    it with ``x[i]`` — and, in ``"before"`` mode, with the attention context
+    of the previous hidden state — projects through ``w_ih`` and runs one
+    LSTM step.  Under teacher forcing every ``prev_idx`` row is known
+    upfront, so the whole sweep fuses; the context still feeds the next
+    LSTM input, so the forward keeps its recurrence in raw numpy.  The
+    backward is a hand-written BPTT that replays the loop graph's exact
+    closures — same expressions, same accumulation orders (reverse time for
+    the step chains and for the ``w_ih``/embedding/attention contributions,
+    ascending time for the recurrent weight's transpose nodes; ``h_{t-1}``
+    sums its output, query and recurrence gradients in that order) — so
+    outputs *and* gradients are equal (``==``) to the step-by-step path.
 
     ``x`` is ``(G, B, Hx)``; ``embedding`` is the ``(V, E)`` device-embedding
     table; ``prev_idx`` is ``(G, B)`` int64 (row ``i`` holds the device fed to
-    step ``i``).  Returns the stacked hidden states ``(G, B, H)``.
+    step ``i``); ``attention`` is ``(attn, memory, memory_proj)`` for
+    attention before the decoder, ``None`` for after.  Returns the stacked
+    hidden states ``(G, B, H)``.
     """
     G, B, Hx = x.shape
+    E = embedding.shape[1]
     H = cell.hidden_size
     w_ih, w_hh, bias = cell.w_ih, cell.w_hh, cell.bias
-    wi = w_ih.data
-    wi_T = wi.T
-    w = w_hh.data
-    w_T = w.T
-    b = bias.data
     emb = embedding.data
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
+    attn_parents = ()
+    if attention is not None:
+        attn, memory, memory_proj = attention
+        w_query, v = attn.w_query.weight, attn.v
+        mem, mp = memory.data, memory_proj.data
+        attn_parents = (memory, memory_proj, w_query, v)
+    h = c = np.zeros((B, H))
     outputs = np.empty((G, B, H))
-    inps = []
     cache = []
     for t in range(G):
-        inp = np.concatenate([x.data[t], emb[prev_idx[t]]], axis=1)
-        gates = inp @ wi_T + h @ w_T + b
-        i = 1.0 / (1.0 + np.exp(-gates[:, 0 * H : 1 * H]))
-        f = 1.0 / (1.0 + np.exp(-gates[:, 1 * H : 2 * H]))
-        g = np.tanh(gates[:, 2 * H : 3 * H])
-        o = 1.0 / (1.0 + np.exp(-gates[:, 3 * H : 4 * H]))
-        c_next = f * c + i * g
-        tanh_c = np.tanh(c_next)
-        h_next = o * tanh_c
-        inps.append(inp)
-        cache.append((c, i, f, g, o, tanh_c))
-        h, c = h_next, c_next
-        outputs[t] = h
+        parts = [x.data[t], emb[prev_idx[t]]]
+        attn_cache = None
+        if attention is not None:
+            context, attn_cache = attend(h, mem, mp, w_query.data, v.data)
+            parts.append(context)
+        inp, h_next, c, gate_cache = _lstm_step(cell, parts, h, c)
+        cache.append((h, inp, attn_cache, gate_cache))
+        h = outputs[t] = h_next
 
     # ``embedding`` goes last: the DFS visits the last parent first, and the
     # loop graph postorders each step's embedding gather under the step
     # subtree before reaching ``x``'s ancestors.
-    parents = (w_ih, w_hh, bias, x, embedding)
+    parents = attn_parents + (w_ih, w_hh, bias, x, embedding)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     if not requires:
         return Tensor(outputs)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
-        gg_steps = [None] * G
-        g_b = None
+        wi, w = w_ih.data, w_hh.data
+        g_x = np.zeros((G, B, Hx))
+        # Reverse-time sums, one per parent (``None`` until the first step).
+        # Weight sums stay in the matmul's ``(in, out)`` layout: the loop's
+        # transpose nodes flip each term, which flips the same floats.
+        totals = dict.fromkeys((w_ih, bias, embedding) + attn_parents)
+        transposed = {w_ih, w_hh, w_query} if attention is not None else {w_ih, w_hh}
+
+        def add(parent, step):  # every ``step`` is a fresh array
+            if totals[parent] is None:
+                totals[parent] = step
+            else:
+                totals[parent] += step
+
+        wh_steps = [None] * G
         g_h = g_c = None
         for t in range(G - 1, -1, -1):
-            c_prev, i, f, g_gate, o, tanh_c = cache[t]
+            h_prev, inp, attn_cache, gate_cache = cache[t]
             if g_h is None:
                 g_h = grad[t].copy()
-            g_o = g_h * tanh_c
-            g_tanh = g_h * o
-            local = g_tanh * (1.0 - tanh_c**2)
-            g_ctot = local if g_c is None else g_c + local
-            g_f = g_ctot * c_prev
-            gg = np.zeros((B, 4 * H))
-            gg[:, 0 * H : 1 * H] += (g_ctot * g_gate) * i * (1.0 - i)
-            gg[:, 1 * H : 2 * H] += g_f * f * (1.0 - f)
-            gg[:, 2 * H : 3 * H] += (g_ctot * i) * (1.0 - g_gate**2)
-            gg[:, 3 * H : 4 * H] += g_o * o * (1.0 - o)
-            gg_steps[t] = gg
-            b_step = gg.sum(axis=0)
-            if g_b is None:
-                g_b = b_step.copy()
-            else:
-                g_b += b_step
+            gg, g_c = gate_backward(g_h, g_c, gate_cache)
+            add(bias, gg.sum(axis=0))
+            wh_steps[t] = h_prev.T @ gg
+            g_inp = gg @ wi
+            g_x[t] += g_inp[:, :Hx]
+            scat = np.zeros_like(emb)
+            np.add.at(scat, prev_idx[t], g_inp[:, Hx : Hx + E])
+            add(embedding, scat)
+            add(w_ih, inp.T @ gg)
+            if attention is not None:
+                g_mem, g_mp, g_v, g_q = attend_backward(g_inp[:, Hx + E :], mem, attn_cache, v.data)
+                add(memory, g_mem)
+                add(memory_proj, g_mp)
+                add(v, g_v)
+                add(w_query, h_prev.T @ g_q)
             if t > 0:
                 g_h = grad[t - 1].copy()
+                if attention is not None:
+                    g_h += g_q @ w_query.data
                 g_h += gg @ w
-                g_c = g_ctot * f
-        # Input-side contributions: ``x`` rows are disjoint per step (any
-        # reduction order is exact); the recurrent weight's transpose nodes
-        # close forward-in-time in the loop graph (ascending, as in
-        # lstm_sweep), while the embedding gathers and the input weight's
-        # transposes close reverse-in-time (descending).
-        g_x = np.zeros((G, B, Hx))
-        g_inp_steps = [None] * G
-        g_wh = None
-        for t in range(G):
-            gg = gg_steps[t]
-            g_inp_steps[t] = gg @ wi
-            g_x[t] += g_inp_steps[t][:, :Hx]
-            wh_step = ((outputs[t - 1] if t else np.zeros((B, H))).T @ gg).T
-            if g_wh is None:
-                g_wh = wh_step
-            else:
-                g_wh += wh_step
-        g_emb = None
-        g_wi = None
-        for t in range(G - 1, -1, -1):
-            scat = np.zeros_like(emb)
-            np.add.at(scat, prev_idx[t], g_inp_steps[t][:, Hx:])
-            wi_step = (inps[t].T @ gg_steps[t]).T
-            if g_emb is None:
-                g_emb, g_wi = scat, wi_step
-            else:
-                g_emb += scat
-                g_wi += wi_step
-        if w_ih.requires_grad:
-            w_ih._accumulate(g_wi)
-        if w_hh.requires_grad:
-            w_hh._accumulate(g_wh)
-        if bias.requires_grad:
-            bias._accumulate(g_b)
-        if x.requires_grad:
-            x._accumulate(g_x)
-        if embedding.requires_grad:
-            embedding._accumulate(g_emb)
+        # The recurrent weight's transpose nodes close forward-in-time in
+        # the loop graph (ascending, as in lstm_sweep).
+        totals[w_hh] = wh_steps[0]
+        for t in range(1, G):
+            totals[w_hh] += wh_steps[t]
+        totals[x] = g_x
+        for parent, total in totals.items():
+            if parent.requires_grad:
+                parent._accumulate(total.T if parent in transposed else total)
 
     return Tensor(outputs, requires_grad=True, _parents=parents, _backward=backward)
 
@@ -176,14 +189,15 @@ class Seq2SeqPlacer(Module):
         prefer accelerators).  The bias remains trainable.
     fused:
         Use the fused hot paths (default): the encoder runs through
-        :func:`~repro.nn.rnn.lstm_sweep`, and ``"after"``-mode
-        teacher-forced decodes additionally fuse the decoder recurrence
-        and batch the attention scores (the whole decoder input sequence
-        is known upfront under teacher forcing).  Outputs and gradients
-        are equal (``==``) to the step-by-step path — enforced by
-        ``tests/nn/test_fused.py``.  ``"before"``-mode decodes stay
-        per-step (the attention context feeds the next LSTM input, a true
-        recurrence).
+        :func:`~repro.nn.rnn.lstm_sweep`; teacher-forced decodes run the
+        whole decoder recurrence — previous-device gather, ``"before"``
+        attention context, concat, LSTM step — as one
+        :func:`_decode_sweep` node with a hand-written BPTT backward
+        (``"after"`` attention is batched over the known hidden states
+        instead); and :meth:`sample` decodes in raw numpy through the same
+        step code.  Outputs, samples and gradients are equal (``==``) to
+        the step-by-step path, which ``fused=False`` keeps as the oracle —
+        enforced by ``tests/nn/test_fused.py``.
     """
 
     def __init__(
@@ -244,6 +258,49 @@ class Seq2SeqPlacer(Module):
         enc_out, _ = self.encoder(x)
         return x, enc_out  # (G, B, hidden) each
 
+    def _tensor_steps(self, x: Tensor, enc_out: Tensor, memory_proj: Tensor):
+        """The per-step loop graph: ``step(i, prev_dev) -> logits Tensor``.
+
+        This is the decode every fused path must equal (``fused=False``).
+        """
+        state = self.decoder.zero_state(x.shape[1])
+
+        def step(i: int, prev_dev: np.ndarray) -> Tensor:
+            nonlocal state
+            dev_emb = self.device_embedding[prev_dev]  # (B, E)
+            if self.attention == "before":
+                context, _ = self.attn(state[0], enc_out, memory_proj)
+                state = self.decoder(concatenate([x[i], dev_emb, context], axis=1), state)
+                return self.out_proj(state[0])
+            state = self.decoder(concatenate([x[i], dev_emb], axis=1), state)
+            context, _ = self.attn(state[0], enc_out, memory_proj)
+            return self.out_proj(concatenate([state[0], context], axis=1))
+
+        return step
+
+    def _numpy_steps(self, x: Tensor, enc_out: Tensor, memory_proj: Tensor):
+        """The same decode in raw numpy (no graph): ``step(i, prev_dev) ->
+        logits array``, through the step code :func:`_decode_sweep` runs."""
+        x, mem, mp = x.data, enc_out.data, memory_proj.data
+        w_query, v = self.attn.w_query.weight.data, self.attn.v.data
+        emb = self.device_embedding.data
+        w_out, b_out = self.out_proj.weight.data, self.out_proj.bias.data
+        h = c = np.zeros((x.shape[1], self.hidden))
+
+        def step(i: int, prev_dev: np.ndarray) -> np.ndarray:
+            nonlocal h, c
+            if self.attention == "before":
+                context, _ = attend(h, mem, mp, w_query, v)
+                _, h, c, _ = _lstm_step(self.decoder, [x[i], emb[prev_dev], context], h, c)
+                out = h
+            else:
+                _, h, c, _ = _lstm_step(self.decoder, [x[i], emb[prev_dev]], h, c)
+                context, _ = attend(h, mem, mp, w_query, v)
+                out = np.concatenate([h, context], axis=1)
+            return out @ w_out.T + b_out
+
+        return step
+
     def forward_logits(self, embeddings: np.ndarray, devices: np.ndarray) -> Tensor:
         """Teacher-forced decode: differentiable logits ``(G, B, num_devices)``.
 
@@ -254,40 +311,27 @@ class Seq2SeqPlacer(Module):
         G, B = embeddings.shape[0], embeddings.shape[1]
         x, enc_out = self._encode(embeddings)
         memory_proj = self.attn.precompute(enc_out)
+        prev_idx = np.empty((G, B), dtype=np.int64)
+        prev_idx[0] = self.num_devices  # start token
+        prev_idx[1:] = devices[:, : G - 1].T
 
-        if self.attention == "after" and self.fused:
-            # Teacher forcing makes every decoder input known upfront, so
-            # the gather/concat/project/LSTM chain fuses into one
-            # _decode_sweep node and the attention into one batched-scores
-            # node; only the per-step output projections stay as loop nodes.
-            prev_idx = np.empty((G, B), dtype=np.int64)
-            prev_idx[0] = self.num_devices  # start token
-            prev_idx[1:] = devices[:, : G - 1].T
-            hs = _decode_sweep(x, self.device_embedding, prev_idx, self.decoder)
-            contexts = self.attn.forward_batched(hs, enc_out, memory_proj)
-            logits_steps = [
-                self.out_proj(concatenate([hs[i], contexts[i]], axis=1)) for i in range(G)
-            ]
-            return stack(logits_steps, axis=0)
-
-        h, c = self.decoder.zero_state(B)
-        logits_steps = []
-        prev_dev = np.full(B, self.num_devices, dtype=np.int64)  # start token
-        for i in range(G):
-            dev_emb = self.device_embedding[prev_dev]  # (B, E)
-            if self.attention == "before":
-                context, _ = self.attn(h, enc_out, memory_proj)
-                inp = concatenate([x[i], dev_emb, context], axis=1)
-                h, c = self.decoder(inp, (h, c))
-                step_logits = self.out_proj(h)
-            else:
-                inp = concatenate([x[i], dev_emb], axis=1)
-                h, c = self.decoder(inp, (h, c))
-                context, _ = self.attn(h, enc_out, memory_proj)
-                step_logits = self.out_proj(concatenate([h, context], axis=1))
-            logits_steps.append(step_logits)
-            prev_dev = devices[:, i]
-        return stack(logits_steps, axis=0)
+        if not self.fused:
+            step = self._tensor_steps(x, enc_out, memory_proj)
+            return stack([step(i, prev_idx[i]) for i in range(G)], axis=0)
+        # Teacher forcing makes every decoder input known upfront, so the
+        # gather/attend/concat/project/LSTM chain fuses into one
+        # _decode_sweep node ("after" attention runs as one batched-scores
+        # node); only the per-step output projections stay as loop nodes.
+        if self.attention == "before":
+            hs = _decode_sweep(
+                x, self.device_embedding, prev_idx, self.decoder, (self.attn, enc_out, memory_proj)
+            )
+            return stack([self.out_proj(hs[i]) for i in range(G)], axis=0)
+        hs = _decode_sweep(x, self.device_embedding, prev_idx, self.decoder)
+        contexts = self.attn.forward_batched(hs, enc_out, memory_proj)
+        return stack(
+            [self.out_proj(concatenate([hs[i], contexts[i]], axis=1)) for i in range(G)], axis=0
+        )
 
     # ------------------------------------------------------------------ #
     def sample(
@@ -297,7 +341,9 @@ class Seq2SeqPlacer(Module):
         — log-probs factored per decoding step.
 
         Runs without recording the autograd graph (sampling is cheap;
-        gradients come from :meth:`log_prob` on the stored actions).
+        gradients come from :meth:`log_prob` on the stored actions); the
+        fused placer decodes in raw numpy, with results equal (``==``) to
+        the loop's.
         """
         if isinstance(embeddings, Tensor):
             embeddings = embeddings.data
@@ -306,22 +352,16 @@ class Seq2SeqPlacer(Module):
         with no_grad():
             x, enc_out = self._encode(embeddings)
             memory_proj = self.attn.precompute(enc_out)
-            h, c = self.decoder.zero_state(B)
+            if self.fused:
+                step = self._numpy_steps(x, enc_out, memory_proj)
+            else:
+                tensor_step = self._tensor_steps(x, enc_out, memory_proj)
+                step = lambda i, prev: tensor_step(i, prev).data  # noqa: E731
             prev_dev = np.full(B, self.num_devices, dtype=np.int64)
             devices = np.empty((B, G), dtype=np.int64)
             logp = np.zeros((B, G))
             for i in range(G):
-                dev_emb = self.device_embedding[prev_dev]
-                if self.attention == "before":
-                    context, _ = self.attn(h, enc_out, memory_proj)
-                    inp = concatenate([x[i], dev_emb, context], axis=1)
-                    h, c = self.decoder(inp, (h, c))
-                    step_logits = self.out_proj(h).data
-                else:
-                    inp = concatenate([x[i], dev_emb], axis=1)
-                    h, c = self.decoder(inp, (h, c))
-                    context, _ = self.attn(h, enc_out, memory_proj)
-                    step_logits = self.out_proj(concatenate([h, context], axis=1)).data
+                step_logits = step(i, prev_dev)
                 lp = step_logits - _logsumexp(step_logits)
                 if greedy:
                     d = np.argmax(lp, axis=1)

@@ -105,6 +105,24 @@ class TestRegressionGate:
         new = _fake_report(**{"added.lane": 1.0})
         assert check_report(new, baseline_path=str(base)) == []
 
+    def test_latency_improvement_passes(self, tmp_path):
+        """``*_ms`` lanes are lower-is-better: halving a latency is a win."""
+        base = tmp_path / "base.json"
+        write_report(_fake_report(**{"loadgen.latency_p50_ms": 40.0}), str(base))
+        faster = _fake_report(**{"loadgen.latency_p50_ms": 4.0})
+        assert check_report(faster, baseline_path=str(base), tolerance=0.5) == []
+
+    def test_latency_regression_fails(self, tmp_path):
+        base = tmp_path / "base.json"
+        write_report(_fake_report(**{"loadgen.latency_p50_ms": 40.0}), str(base))
+        slower = _fake_report(**{"loadgen.latency_p50_ms": 90.0})
+        failures = check_report(slower, baseline_path=str(base), tolerance=0.5)
+        assert len(failures) == 1
+        assert "loadgen.latency_p50_ms regressed" in failures[0]
+        # Within the mirrored bound (baseline / (1 - tolerance) = 80 ms).
+        jittery = _fake_report(**{"loadgen.latency_p50_ms": 79.0})
+        assert check_report(jittery, baseline_path=str(base), tolerance=0.5) == []
+
     def test_min_speedup_gate(self):
         assert check_report(_fake_report(), min_speedup=3.0) == []
         failures = check_report(

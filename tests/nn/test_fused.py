@@ -131,47 +131,62 @@ class TestBatchedAttention:
         assert np.allclose(ctx.data, 1.0)
 
 
-def _placer_pair(seed, attention, **kw):
+def _placer_pair(seed, attention, hidden=12, **kw):
     make = lambda fused: Seq2SeqPlacer(  # noqa: E731
-        embed_dim=6, num_devices=4, hidden=12, attention=attention,
+        embed_dim=6, num_devices=4, hidden=hidden, attention=attention,
         rng=np.random.default_rng(seed), fused=fused, **kw
     )
     return make(True), make(False)
+
+
+def _assert_decode_bit_for_bit(a, b, G, B, rng):
+    """Log-probs, entropy, the input gradient and every parameter gradient
+    of a PPO-shaped loss are ``==`` between placers ``a`` and ``b``."""
+    emb = rng.normal(size=(G, B, 6))
+    devices = rng.integers(0, 4, size=(B, G))
+    ea = Tensor(emb.copy(), requires_grad=True)
+    eb = Tensor(emb.copy(), requires_grad=True)
+
+    lp_a, ent_a = a.log_prob_and_entropy(ea, devices)
+    lp_b, ent_b = b.log_prob_and_entropy(eb, devices)
+    assert np.array_equal(lp_a.data, lp_b.data)
+    assert np.array_equal(ent_a.data, ent_b.data)
+
+    # PPO-shaped loss: weighted log-probs plus an entropy bonus.
+    w = Tensor(rng.normal(size=lp_a.shape))
+    ((lp_a * w).sum() + ent_a * 0.37).backward()
+    ((lp_b * w).sum() + ent_b * 0.37).backward()
+    assert np.array_equal(ea.grad, eb.grad)
+    for pa, pb in zip(a.parameters(), b.parameters()):
+        ga, gb = pa.grad, pb.grad
+        assert (ga is None) == (gb is None), pa.name
+        if ga is not None:
+            assert np.array_equal(ga, gb), pa.name
+
+
+ATTENTION_MODES = ["after", "before"]
 
 
 class TestSeq2SeqFusedDecode:
     """End-to-end through the decoder path: logits, log-probs, entropy and
     every parameter gradient equal between fused and loop graphs."""
 
-    @pytest.mark.parametrize("attention", ["after", "before"])
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_log_prob_entropy_and_grads_bit_for_bit(self, attention, seed):
         a, b = _placer_pair(seed, attention)
-        rng = np.random.default_rng(100 + seed)
-        G, B = 5, 3
-        emb = rng.normal(size=(G, B, 6))
-        devices = rng.integers(0, 4, size=(B, G))
-        ea = Tensor(emb.copy(), requires_grad=True)
-        eb = Tensor(emb.copy(), requires_grad=True)
+        _assert_decode_bit_for_bit(a, b, 5, 3, np.random.default_rng(100 + seed))
 
-        lp_a, ent_a = a.log_prob_and_entropy(ea, devices)
-        lp_b, ent_b = b.log_prob_and_entropy(eb, devices)
-        assert np.array_equal(lp_a.data, lp_b.data)
-        assert np.array_equal(ent_a.data, ent_b.data)
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_larger_decode_bit_for_bit(self, attention):
+        """At a size where an accumulation-order slip cannot hide in a
+        three-step sum."""
+        a, b = _placer_pair(3, attention, hidden=32)
+        _assert_decode_bit_for_bit(a, b, 16, 4, np.random.default_rng(103))
 
-        # PPO-shaped loss: weighted log-probs plus an entropy bonus.
-        w = Tensor(rng.normal(size=lp_a.shape))
-        ((lp_a * w).sum() + ent_a * 0.37).backward()
-        ((lp_b * w).sum() + ent_b * 0.37).backward()
-        assert np.array_equal(ea.grad, eb.grad)
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            ga, gb = pa.grad, pb.grad
-            assert (ga is None) == (gb is None), pa.name
-            if ga is not None:
-                assert np.array_equal(ga, gb), pa.name
-
-    def test_forward_logits_bit_for_bit(self):
-        a, b = _placer_pair(7, "after")
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_forward_logits_bit_for_bit(self, attention):
+        a, b = _placer_pair(7, attention)
         rng = np.random.default_rng(8)
         emb = rng.normal(size=(6, 2, 6))
         devices = rng.integers(0, 4, size=(2, 6))
@@ -179,24 +194,24 @@ class TestSeq2SeqFusedDecode:
         lb = b.forward_logits(emb, devices)
         assert np.array_equal(la.data, lb.data)
 
-    def test_single_group_single_batch_edge(self):
-        a, b = _placer_pair(9, "after")
-        emb = np.random.default_rng(10).normal(size=(1, 1, 6))
-        devices = np.zeros((1, 1), dtype=np.int64)
-        lp_a, _ = a.log_prob_and_entropy(emb, devices)
-        lp_b, _ = b.log_prob_and_entropy(emb, devices)
-        assert np.array_equal(lp_a.data, lp_b.data)
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_single_group_single_batch_edge(self, attention):
+        a, b = _placer_pair(9, attention)
+        _assert_decode_bit_for_bit(a, b, 1, 1, np.random.default_rng(10))
 
-    def test_sampling_identical_under_same_rng(self):
-        a, b = _placer_pair(11, "after")
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_sampling_identical_under_same_rng(self, attention, greedy):
+        a, b = _placer_pair(11, attention)
         emb = np.random.default_rng(12).normal(size=(5, 4, 6))
-        da, pa = a.sample(emb, np.random.default_rng(13))
-        db, pb = b.sample(emb, np.random.default_rng(13))
+        da, pa = a.sample(emb, np.random.default_rng(13), greedy=greedy)
+        db, pb = b.sample(emb, np.random.default_rng(13), greedy=greedy)
         assert np.array_equal(da, db)
         assert np.array_equal(pa, pb)
 
-    def test_fused_gradcheck_against_finite_differences(self, rng):
-        placer, _ = _placer_pair(14, "after")
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_fused_gradcheck_against_finite_differences(self, rng, attention):
+        placer, _ = _placer_pair(14, attention)
         G, B = 3, 2
         devices = np.random.default_rng(15).integers(0, 4, size=(B, G))
         x0 = rng.normal(size=G * B * 6)
@@ -208,3 +223,31 @@ class TestSeq2SeqFusedDecode:
         t = Tensor(x0.reshape(G, B, 6), requires_grad=True)
         placer.log_prob(t, devices).sum().backward()
         assert np.allclose(t.grad.ravel(), numeric_gradient(fn, x0), atol=1e-5)
+
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_fused_parameter_gradcheck(self, attention):
+        """Every placer parameter's fused gradient is the true gradient of
+        the log-prob + entropy loss (spot-checked entries)."""
+        placer, _ = _placer_pair(16, attention)
+        rng = np.random.default_rng(17)
+        G, B = 3, 2
+        emb = rng.normal(size=(G, B, 6))
+        devices = rng.integers(0, 4, size=(B, G))
+
+        def loss():
+            lp, ent = placer.log_prob_and_entropy(emb, devices)
+            return lp.sum() + ent * 0.5
+
+        placer.zero_grad()
+        loss().backward()
+        for param in placer.parameters():
+            flat = param.data.reshape(-1)
+            for k in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                old = flat[k]
+                flat[k] = old + 1e-6
+                up = loss().item()
+                flat[k] = old - 1e-6
+                down = loss().item()
+                flat[k] = old
+                numeric = (up - down) / 2e-6
+                assert np.isclose(param.grad.reshape(-1)[k], numeric, atol=1e-5), param.name

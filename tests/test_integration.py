@@ -1,5 +1,7 @@
 """Integration tests: full pipelines across modules on scaled-down problems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,30 @@ class TestEndToEndSearch:
         a, b = run(), run()
         assert a.best_time == b.best_time
         assert np.array_equal(a.best_placement, b.best_placement)
+
+
+class TestFusedPlacerGolden:
+    """The fused seq2seq placer is results-neutral end to end: an EAGLE PPO
+    search (grouper -> bridge -> attention-before placer, gradients flowing
+    through all three) returns the same ``SearchResult`` and the same
+    trained weights as one whose placer runs the per-step loop graph."""
+
+    def _search(self, graph, fused):
+        env = PlacementEnvironment(graph, seed=0)
+        agent = EagleAgent(graph, env.num_devices, num_groups=8, placer_hidden=16, seed=0)
+        for module in agent.placer.modules():
+            if hasattr(module, "fused"):
+                module.fused = fused
+        result = PlacementSearch(agent, env, "ppo", SearchConfig(max_samples=30)).run()
+        return result, agent
+
+    def test_fused_and_loop_searches_are_equal(self, small_gnmt):
+        fused, fused_agent = self._search(small_gnmt, True)
+        loop, loop_agent = self._search(small_gnmt, False)
+        assert replace(fused, best_placement=None) == replace(loop, best_placement=None)
+        assert np.array_equal(fused.best_placement, loop.best_placement)
+        for (name, a), b in zip(fused_agent.named_parameters(), loop_agent.parameters()):
+            assert np.array_equal(a.data, b.data), name
 
 
 class TestPaperScenarios:
