@@ -1,8 +1,8 @@
 """Microbenchmark lane: the repo's hot paths, measured every PR.
 
-``repro bench-micro`` times the three throughput surfaces the vectorized
-evaluation work (DESIGN.md §11) is accountable for and publishes them as a
-versioned ``BENCH_micro.json``:
+``repro bench-micro`` times the throughput surfaces the vectorized
+evaluation work (DESIGN.md §11) is accountable for, plus agent set-up, and
+publishes them as a versioned ``BENCH_micro.json``:
 
 * ``sim.*`` — placements/sec through the scalar :class:`Simulator` loop
   versus one :class:`BatchSimulator` sweep, per model family, plus the
@@ -13,6 +13,10 @@ versioned ``BENCH_micro.json``:
   alone.
 * ``service.placements_per_sec`` — round-trip RPS through a local
   vectorized :class:`~repro.service.server.MeasurementServer`.
+* ``setup.pretrain_ms`` — one grouper warm-start
+  (:func:`~repro.grouping.pretrain.pretrain_grouper`, 600 steps) on GNMT at
+  64 groups, the largest share of an EAGLE agent's set-up; the op features
+  and the METIS target are built outside the timed region.
 
 Metrics are *higher-is-better* except latencies, named ``*_ms``, which are
 lower-is-better.  The regression gate is one ratio rule in both
@@ -165,6 +169,24 @@ def _bench_service(batch: int, repeats: int, seed: int) -> Dict[str, float]:
     return {"service.placements_per_sec": batch / best}
 
 
+def _bench_setup(repeats: int, seed: int) -> Dict[str, float]:
+    from ..graph.models import build_benchmark
+    from ..grouping import FeedForwardGrouper, OpFeatureExtractor
+    from ..grouping.pretrain import pretrain_grouper, warm_start_assignment
+
+    graph = build_benchmark("gnmt")
+    features = OpFeatureExtractor(graph).features
+    target = warm_start_assignment(graph, 64, seed=seed)
+
+    def pretrain():
+        grouper = FeedForwardGrouper(
+            features.shape[1], 64, rng=np.random.default_rng(seed)
+        )
+        pretrain_grouper(grouper, features, target)
+
+    return {"setup.pretrain_ms": _best_time(pretrain, repeats) * 1e3}
+
+
 def run_micro_bench(
     *, batch: int = 64, repeats: int = 3, seed: int = 0
 ) -> Dict[str, Any]:
@@ -173,6 +195,7 @@ def run_micro_bench(
     metrics.update(_bench_simulators(batch, repeats, seed))
     metrics.update(_bench_policy_updates(repeats, seed))
     metrics.update(_bench_service(batch, repeats, seed))
+    metrics.update(_bench_setup(repeats, seed))
     summary = [
         f"{name}: {value:,.1f}"
         for name, value in sorted(metrics.items())

@@ -3,7 +3,7 @@ EAGLE's feed-forward grouper."""
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,6 +110,11 @@ class FeedForward(Module):
             layer = Linear(d_in, d_out, rng=rng)
             setattr(self, f"fc{i}", layer)
             self._layers.append(layer)
+
+    @property
+    def layers(self) -> Tuple[Linear, ...]:
+        """The affine layers, input to output."""
+        return tuple(self._layers)
 
     def forward(self, x: Tensor) -> Tensor:
         for layer in self._layers[:-1]:

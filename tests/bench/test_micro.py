@@ -53,6 +53,7 @@ class TestReportSchema:
             assert f"sim.speedup.{model}" in metrics
         assert "policy.updates_per_sec" in metrics
         assert "service.placements_per_sec" in metrics
+        assert "setup.pretrain_ms" in metrics
 
     def test_write_is_sorted_and_stable(self, tmp_path):
         """Sorted keys + trailing newline: PR-to-PR diffs stay line-meaningful."""
