@@ -1,7 +1,7 @@
 """Microbenchmark lane: the repo's hot paths, measured every PR.
 
-``repro bench-micro`` times the throughput surfaces the vectorized
-evaluation work (DESIGN.md §11) is accountable for, plus agent set-up, and
+``repro bench-micro`` times the throughput surfaces the batch sweep and
+fused decode (DESIGN.md §11) are accountable for, plus agent set-up, and
 publishes them as a versioned ``BENCH_micro.json``:
 
 * ``sim.*`` — placements/sec through the scalar :class:`Simulator` loop
@@ -10,9 +10,11 @@ publishes them as a versioned ``BENCH_micro.json``:
 * ``policy.updates_per_sec`` — steady-state engine minibatch updates
   (sample → evaluate → advantage → backprop) per second: the agent is built
   outside the timed region, so the lane times ``PlacementSearch.run()``
-  alone.
+  alone.  Its minibatches of 10 are below
+  :data:`~repro.sim.batch.SWEEP_MIN_LANES`, so they run the scalar loop.
 * ``service.placements_per_sec`` — round-trip RPS through a local
-  vectorized :class:`~repro.service.server.MeasurementServer`.
+  :class:`~repro.service.server.MeasurementServer`; a batch of 64 fresh
+  placements is one pool-side sweep.
 * ``setup.pretrain_ms`` — one grouper warm-start
   (:func:`~repro.grouping.pretrain.pretrain_grouper`, 600 steps) on GNMT at
   64 groups, the largest share of an EAGLE agent's set-up; the op features
@@ -94,11 +96,11 @@ def _bench_simulators(batch: int, repeats: int, seed: int) -> Dict[str, float]:
             for p in placements:
                 sim.simulate(p)
 
-        def vectorized():
+        def sweep():
             batch_sim.simulate_batch(placements)
 
         t_serial = _best_time(serial, repeats)
-        t_batch = _best_time(vectorized, repeats)
+        t_batch = _best_time(sweep, repeats)
         metrics[f"sim.serial.{model}.placements_per_sec"] = batch / t_serial
         metrics[f"sim.batch{batch}.{model}.placements_per_sec"] = batch / t_batch
         metrics[f"sim.speedup.{model}"] = t_serial / t_batch
@@ -125,7 +127,7 @@ def _bench_policy_updates(repeats: int, seed: int) -> Dict[str, float]:
             "eagle", graph, env.num_devices,
             num_groups=32, placer_hidden=64, seed=seed, topology=topo,
         )
-        backend = make_backend(env, seed=seed, vectorized=True)
+        backend = make_backend(env, seed=seed)
         search = PlacementSearch(agent, env, "ppo", config, backend=backend)
         try:
             start = time.perf_counter()
@@ -145,7 +147,7 @@ def _bench_service(batch: int, repeats: int, seed: int) -> Dict[str, float]:
     graph = build_benchmark("inception_v3")
     topo = Topology.default_4gpu()
     server = MeasurementServer(
-        PlacementEnvironment(graph, topo, seed=seed), workers=2, vectorized=True
+        PlacementEnvironment(graph, topo, seed=seed), workers=2
     ).start()
     try:
         client_env = PlacementEnvironment(graph, topo, seed=seed)

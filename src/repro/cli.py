@@ -160,13 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream search events to PATH as JSON-lines (one object per "
              "event) for live dashboards",
     )
-    p.add_argument(
-        "--vectorized", action="store_true",
-        help="evaluate each minibatch in one vectorized critical-path sweep "
-             "(BatchSimulator) instead of per-placement simulator calls; "
-             "results are bit-for-bit identical, only faster (operational "
-             "flag — safe to toggle across --resume)",
-    )
 
     p = sub.add_parser("serve", help="run a shared measurement service")
     add_common(p)
@@ -184,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request-deadline", type=float, default=None,
                    help="server-side seconds one request may wait on results "
                         "before unresolved tickets answer deadline errors")
-    p.add_argument("--vectorized", action="store_true",
-                   help="sweep each batch's cache misses through one "
-                        "vectorized BatchSimulator pool task per request "
-                        "instead of one task per placement (bit-for-bit "
-                        "identical results)")
     p.add_argument("--multi-tenant", action="store_true",
                    help="host many measurement spaces keyed by fingerprint: "
                         "the --model space is seeded first, and handshakes "
@@ -321,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "least X times faster than serial simulation "
                         "(the acceptance gate runs with X=3)")
     p.add_argument("--batch", type=_positive_int, default=64,
-                   help="placements per vectorized sweep (default 64)")
+                   help="placements per batch sweep (default 64)")
     p.add_argument("--repeats", type=_positive_int, default=3,
                    help="timing repeats per metric; the best is reported")
     p.add_argument("--seed", type=int, default=0)
@@ -492,10 +480,11 @@ def cmd_place(args) -> int:
     backend = make_backend(
         env, workers=args.workers, cache=not args.no_cache, seed=args.seed,
         fault_plan=plan, remote=args.remote, remote_timeout=args.remote_timeout,
-        vectorized=args.vectorized,
     )
-    if args.memo_path and isinstance(backend, MemoBackend) and os.path.exists(args.memo_path):
-        loaded = backend.load(args.memo_path)
+    # A fault plan wraps the backend; the memo and the remote client sit inside.
+    inner = backend.inner if isinstance(backend, FaultInjectingBackend) else backend
+    if args.memo_path and isinstance(inner, MemoBackend) and os.path.exists(args.memo_path):
+        loaded = inner.load(args.memo_path)
         print(f"memo cache: {loaded} raw outcomes loaded from {args.memo_path}")
     callbacks = [ProgressPrinter(interval=50, total=args.samples)]
     exporter = None
@@ -517,21 +506,19 @@ def cmd_place(args) -> int:
                   f"{search.engine.num_samples}/{args.samples}")
         result = search.run(callbacks=callbacks)
         if args.remote:
-            remote = backend.inner if isinstance(backend, FaultInjectingBackend) else backend
-            remote_stats = remote.remote_stats()
+            remote_stats = inner.remote_stats()
     finally:
         backend.close()
         if exporter is not None:
             exporter.close()
     print(f"best placement: {result.final_time * 1000:.1f} ms/step "
           f"({result.num_invalid}/{result.num_samples} invalid)")
-    inner = backend.inner if isinstance(backend, FaultInjectingBackend) else backend
     if isinstance(inner, MemoBackend) and inner.hits:
         print(f"  cache: {inner.hits} hits / {inner.misses} misses "
               f"({inner.hit_rate:.0%} of evaluations skipped the simulator)")
-    if args.memo_path and isinstance(backend, MemoBackend):
-        backend.save(args.memo_path)
-        print(f"  memo cache: {len(backend)} raw outcomes saved to {args.memo_path}")
+    if args.memo_path and isinstance(inner, MemoBackend):
+        inner.save(args.memo_path)
+        print(f"  memo cache: {len(inner)} raw outcomes saved to {args.memo_path}")
     if args.remote:
         hits = int(remote_stats.get("memo_hits", 0))
         misses = int(remote_stats.get("memo_misses", 0))
@@ -568,7 +555,6 @@ def cmd_serve(args) -> int:
         workers=args.service_workers,
         memo_path=args.memo_path,
         request_deadline=args.request_deadline,
-        vectorized=args.vectorized,
         multi_tenant=args.multi_tenant,
         spaces_dir=args.spaces_dir,
         max_spaces=args.space_budget,
@@ -580,10 +566,9 @@ def cmd_serve(args) -> int:
         metrics_http = MetricsHTTPServer(
             server.render_metrics, host=args.host, port=args.metrics_port
         ).start()
-    mode = " (vectorized sweeps)" if args.vectorized else ""
     print(f"serving {args.model} ({graph.num_ops} ops, "
           f"{env.num_devices} devices) on {server.address} "
-          f"with {args.service_workers} simulator workers{mode}")
+          f"with {args.service_workers} simulator workers")
     if args.multi_tenant:
         extras = []
         if args.spaces_dir:

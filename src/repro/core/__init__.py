@@ -23,7 +23,6 @@ from .events import (
     HistoryRecorder,
     ProgressPrinter,
     MetricsExporter,
-    LegacyProgressAdapter,
 )
 from .heuristic_placement import scotch_style_placement, RandomSearchAgent
 from .checkpoint import save_checkpoint, load_checkpoint, restore_agent
@@ -41,7 +40,6 @@ __all__ = [
     "HistoryRecorder",
     "ProgressPrinter",
     "MetricsExporter",
-    "LegacyProgressAdapter",
     "PlacementAgentBase",
     "GrouperPlacerBridge",
     "EagleAgent",

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from typing import IO, TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional
+from typing import IO, TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 import numpy as np
 
@@ -53,19 +53,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .search import SearchHistory, SearchResult
 
 __all__ = [
-    "ProgressCallback",
     "SearchCallback",
     "CallbackList",
     "HistoryRecorder",
     "ProgressPrinter",
     "MetricsExporter",
-    "LegacyProgressAdapter",
 ]
-
-#: Signature of the deprecated ``PlacementSearch.run(progress=...)`` hook:
-#: ``(num_samples, best_per_step_time, update_stats) -> None``.
-ProgressCallback = Callable[[int, float, Dict[str, float]], None]
-
 
 class SearchCallback:
     """Base observer; every hook defaults to a no-op."""
@@ -321,17 +314,3 @@ class MetricsExporter(SearchCallback):
             env_time=_finite(result.env_time),
             wall_time=_finite(result.wall_time),
         )
-
-
-class LegacyProgressAdapter(SearchCallback):
-    """Adapts the deprecated ``progress`` callable to the event layer.
-
-    Preserves the historical contract exactly: called once per policy update
-    with ``(num_samples, best_per_step_time, update_stats)``.
-    """
-
-    def __init__(self, fn: ProgressCallback) -> None:
-        self.fn = fn
-
-    def on_update(self, engine, stats: Dict[str, float]) -> None:
-        self.fn(engine.num_samples, engine.best_time, stats)

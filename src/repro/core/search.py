@@ -19,7 +19,6 @@ figures (Figs. 2, 5–7).
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ from .engine import (
     SearchHistory,
     SearchResult,
 )
-from .events import LegacyProgressAdapter, ProgressCallback, SearchCallback
+from .events import SearchCallback
 
 __all__ = ["SearchConfig", "SearchHistory", "SearchResult", "PlacementSearch"]
 
@@ -124,26 +123,6 @@ class PlacementSearch:
         return self.engine.tracker.failure_time()
 
     # -------------------------------------------------------------------- #
-    def run(
-        self,
-        progress: Optional[ProgressCallback] = None,
-        callbacks: Iterable[SearchCallback] = (),
-    ) -> SearchResult:
-        """Run the search to its budget; returns the best placement found.
-
-        ``progress`` is deprecated: pass a
-        :class:`~repro.core.events.SearchCallback` (e.g.
-        :class:`~repro.core.events.ProgressPrinter`) via ``callbacks``
-        instead.  It keeps working through an adapter that fires on every
-        policy update with ``(num_samples, best_time, stats)``.
-        """
-        extra = list(callbacks)
-        if progress is not None:
-            warnings.warn(
-                "PlacementSearch.run(progress=...) is deprecated; subscribe a "
-                "SearchCallback via run(callbacks=[...]) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            extra.append(LegacyProgressAdapter(progress))
-        return self.engine.run(callbacks=extra)
+    def run(self, callbacks: Iterable[SearchCallback] = ()) -> SearchResult:
+        """Run the search to its budget; returns the best placement found."""
+        return self.engine.run(callbacks=callbacks)

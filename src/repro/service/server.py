@@ -3,7 +3,7 @@
 A :class:`MeasurementServer` hosts *measurement spaces* — graph/topology/
 cost-model triples — from a :class:`~repro.service.tenancy.SpaceRegistry`,
 builds a pool of simulator worker threads (each owning private
-:class:`~repro.sim.simulator.Simulator` instances per space — the
+:class:`~repro.sim.batch.BatchSimulator` instances per space — the
 precomputed cost tables are per-worker, so workers never contend), and
 serves *raw* outcomes over the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`.  A classic single-tenant server is just
@@ -79,7 +79,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import MetricsExporter
 from ..sim.backends import _placement_key
-from ..sim.batch import BatchSimulator
+from ..sim.batch import SWEEP_MIN_LANES, BatchSimulator
 from ..sim.environment import PlacementEnvironment, RawOutcome
 from ..sim.simulator import Simulator
 from . import protocol
@@ -634,23 +634,22 @@ class _Handler(socketserver.StreamRequestHandler):
                     "retry after in-flight work completes"
                 )
             admitted = True
-            if service.vectorized and len(leaders) > 1:
-                # One pool task sweeps every miss in a single vectorized
-                # pass; admission stays all-or-nothing (a single submit).
-                chunk = [placement for _, placement, _ in leaders]
-                future = service._pool.submit(service._simulate_chunk, space, chunk)
-                service._chain_chunk(
-                    space, chunk, [adapter for _, _, adapter in leaders], future
-                )
-            elif leaders:
+            if leaders:
+                # Enough misses to sweep go to one pool task; fewer go one
+                # task per placement, so the pool's workers share them.
+                # Admission stays all-or-nothing (a single submit_many).
+                if len(leaders) >= SWEEP_MIN_LANES:
+                    chunks = [leaders]
+                else:
+                    chunks = [[leader] for leader in leaders]
+                placements = [[p for _, p, _ in chunk] for chunk in chunks]
                 futures = service._pool.submit_many(
-                    [
-                        (service._simulate, space, placement)
-                        for _, placement, _ in leaders
-                    ]
+                    [(service._simulate_chunk, space, ps) for ps in placements]
                 )
-                for (_, placement, adapter), future in zip(leaders, futures):
-                    service._chain(space, placement, adapter, future)
+                for chunk, ps, future in zip(chunks, placements, futures):
+                    service._chain_chunk(
+                        space, ps, [adapter for _, _, adapter in chunk], future
+                    )
         except PoolBusy as exc:
             if admitted:
                 space.release(lanes)
@@ -755,7 +754,10 @@ class MeasurementServer:
         Bind address; ``port=0`` picks a free port (see :attr:`address`).
     workers:
         Simulator worker threads, shared by every space.  Each lazily
-        builds private per-space :class:`Simulator` instances on first use.
+        builds private per-space :class:`~repro.sim.batch.BatchSimulator`
+        instances on first use.  A batch whose cache misses reach
+        :data:`~repro.sim.batch.SWEEP_MIN_LANES` runs as one pool task
+        that sweeps them; smaller ones run one task per placement.
     memo_path:
         Optional persisted cache (:meth:`MemoBackend.load` format) to warm
         the *default* space's table from at startup; ignored if missing,
@@ -775,13 +777,6 @@ class MeasurementServer:
     clock:
         Monotonic-seconds callable (injectable so tests drive idle reaping
         and deadlines deterministically).
-    vectorized:
-        When True, a batch's cache misses run as *one* pool task through a
-        per-worker :class:`~repro.sim.batch.BatchSimulator` sweep instead
-        of one task per placement.  Results are bit-for-bit identical (the
-        sweep is golden-tested against the scalar loop), so clients cannot
-        observe the difference except in throughput; single ``evaluate``
-        requests keep the scalar path.
     multi_tenant:
         Accept handshakes for spaces this server does not host yet, by
         adopting the serialized spec a v3 client offers in ``hello``.
@@ -821,7 +816,6 @@ class MeasurementServer:
         session_idle_timeout: float = 300.0,
         housekeeping_interval: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
-        vectorized: bool = False,
         multi_tenant: bool = False,
         spaces_dir: Optional[str] = None,
         space_specs: Sequence[SpaceSpec] = (),
@@ -847,9 +841,8 @@ class MeasurementServer:
         self.request_deadline = request_deadline
         self.migrate_timeout = migrate_timeout
         self.clock = clock
-        self.vectorized = vectorized
         self.multi_tenant = multi_tenant
-        #: lanes evaluated by vectorized sweeps (0 unless ``vectorized``).
+        #: placements simulated by batch sweeps rather than the scalar loop.
         self.batch_lanes = 0
         self.metrics = MetricsExporter()
         self.draining = threading.Event()
@@ -870,7 +863,6 @@ class MeasurementServer:
             session_retention=session_retention,
             session_idle_timeout=session_idle_timeout,
             quota=space_quota,
-            vectorized=vectorized,
             state_lock=self._memo_lock,
         )
         self._default_space: Optional[TenantSpace] = None
@@ -980,20 +972,6 @@ class MeasurementServer:
         if self._durable and record.batch_id >= 0 and record.complete:
             self.registry.persist(space)
 
-    def _worker_simulator(self, space: TenantSpace) -> Simulator:
-        sims = getattr(self._local, "simulators", None)
-        if sims is None:
-            sims = {}
-            self._local.simulators = sims
-        sim = sims.get(space.fingerprint)
-        if sim is None:
-            while len(sims) >= _SIMULATORS_PER_WORKER:
-                sims.pop(next(iter(sims)))
-            env = space.environment
-            sim = Simulator(env.graph, env.topology, env.simulator.cost_model)
-            sims[space.fingerprint] = sim
-        return sim
-
     def _worker_batch_simulator(self, space: TenantSpace) -> BatchSimulator:
         batches = getattr(self._local, "batch_simulators", None)
         if batches is None:
@@ -1003,62 +981,32 @@ class MeasurementServer:
         if batch is None:
             while len(batches) >= _SIMULATORS_PER_WORKER:
                 batches.pop(next(iter(batches)))
-            batch = BatchSimulator(self._worker_simulator(space))
+            env = space.environment
+            batch = BatchSimulator(
+                Simulator(env.graph, env.topology, env.simulator.cost_model)
+            )
             batches[space.fingerprint] = batch
         return batch
 
-    def _simulate(self, space: TenantSpace, placement) -> RawOutcome:
-        """Worker-pool task: one deterministic simulation + cache insert."""
-        from ..sim.simulator import OutOfMemoryError
-
-        sim = self._worker_simulator(space)
-        try:
-            breakdown = sim.simulate(placement)
-        except OutOfMemoryError as exc:
-            raw = RawOutcome(None, oom_detail=exc.overcommitted)
-        else:
-            raw = RawOutcome(breakdown.makespan)
-        with self._memo_lock:
-            self.num_simulations += 1
-            space.num_simulations += 1
-            space.memo.insert(placement, raw)
-        return raw
-
     def _simulate_chunk(self, space: TenantSpace, placements: List) -> List[RawOutcome]:
-        """Worker-pool task: one vectorized sweep over a batch's misses.
+        """Worker-pool task: simulate a chunk of cache misses + cache insert.
 
-        Every lane counts as one simulation — the sweep performs the same
-        per-placement work as K scalar runs, just without K Python loops —
-        so the at-most-once accounting in :attr:`num_simulations` is
-        unchanged by the vectorized path.
+        :meth:`BatchSimulator.raw_outcomes` sweeps a chunk of at least
+        :data:`~repro.sim.batch.SWEEP_MIN_LANES` placements and runs the
+        scalar loop otherwise.  Every placement counts as one simulation
+        either way, so the at-most-once accounting in
+        :attr:`num_simulations` does not depend on the chunking;
+        :attr:`batch_lanes` counts the swept ones.
         """
         raws = self._worker_batch_simulator(space).raw_outcomes(placements)
         with self._memo_lock:
             self.num_simulations += len(placements)
             space.num_simulations += len(placements)
-            self.batch_lanes += len(placements)
+            if len(placements) >= SWEEP_MIN_LANES:
+                self.batch_lanes += len(placements)
             for placement, raw in zip(placements, raws):
                 space.memo.insert(placement, raw)
         return raws
-
-    def _chain(self, space: TenantSpace, placement, adapter: Future, future: Future) -> None:
-        """Resolve a singleflight adapter from its pool future and retire
-        the pending-table entry.  The entry is popped only *after*
-        :meth:`_simulate` has inserted the result into the memo (both run
-        under ``_memo_lock``), so every lookup finds the placement in the
-        memo or the pending table — never in neither."""
-        key = (space.fingerprint, _placement_key(placement))
-
-        def _resolve(done: Future) -> None:
-            exc = done.exception()
-            with self._memo_lock:
-                self._pending_sims.pop(key, None)
-            if exc is not None:
-                adapter.set_exception(exc)
-            else:
-                adapter.set_result(done.result())
-
-        future.add_done_callback(_resolve)
 
     def _chain_chunk(
         self,
@@ -1067,9 +1015,13 @@ class MeasurementServer:
         adapters: List[Future],
         future: Future,
     ) -> None:
-        """Vectorized counterpart of :meth:`_chain`: one sweep future fans
-        out to one adapter per lane (a sweep failure fails every lane —
-        they share one worker, so they share its fate)."""
+        """Resolve a chunk's singleflight adapters from its pool future and
+        retire their pending-table entries.  The entries are popped only
+        *after* :meth:`_simulate_chunk` has inserted the results into the
+        memo (both run under ``_memo_lock``), so every lookup finds a
+        placement in the memo or the pending table — never in neither.  A
+        chunk failure fails every adapter: they share one worker, so they
+        share its fate."""
         keys = [(space.fingerprint, _placement_key(p)) for p in placements]
 
         def _resolve(done: Future) -> None:
@@ -1132,12 +1084,12 @@ class MeasurementServer:
             self._abandon_pending(space, [(0, placement, adapter)], busy)
             raise busy
         try:
-            future = self._pool.submit(self._simulate, space, placement)
+            future = self._pool.submit(self._simulate_chunk, space, [placement])
         except BaseException as exc:
             space.release(1)
             self._abandon_pending(space, [(0, placement, adapter)], exc)
             raise
-        self._chain(space, placement, adapter, future)
+        self._chain_chunk(space, [placement], [adapter], future)
         future.add_done_callback(lambda _done: space.release(1))
         return adapter.result(timeout=self.request_deadline), False
 
@@ -1174,7 +1126,6 @@ class MeasurementServer:
             "simulations": float(self.num_simulations),
             "sessions": session_count,
             "draining": float(self.draining.is_set()),
-            "vectorized": float(self.vectorized),
             # repro: allow[lock-guarded-state] monitoring gauge: lane count is adjusted rarely and read approximately
             "batch_lanes": float(self.batch_lanes),
             "spaces": float(len(self.registry)),

@@ -158,7 +158,6 @@ class TenantSpace:
         session_retention: int = 4,
         session_idle_timeout: float = 300.0,
         quota: Optional[int] = None,
-        vectorized: bool = False,
         now: float = 0.0,
     ) -> None:
         if quota is not None and quota < 1:
@@ -166,9 +165,7 @@ class TenantSpace:
         self.spec = spec
         self.fingerprint = spec.fingerprint
         self.environment = environment or spec.build_environment()
-        self.memo = MemoBackend(
-            self.environment, max_entries=memo_budget, vectorized=vectorized
-        )
+        self.memo = MemoBackend(self.environment, max_entries=memo_budget)
         self.sessions = SessionRegistry(
             retention=session_retention, idle_timeout=session_idle_timeout
         )
@@ -311,7 +308,6 @@ class SpaceRegistry:
         session_retention: int = 4,
         session_idle_timeout: float = 300.0,
         quota: Optional[int] = None,
-        vectorized: bool = False,
         state_lock: Optional[threading.Lock] = None,
     ) -> None:
         if max_spaces is not None and max_spaces < 1:
@@ -322,7 +318,6 @@ class SpaceRegistry:
         self.session_retention = session_retention
         self.session_idle_timeout = session_idle_timeout
         self.quota = quota
-        self.vectorized = vectorized
         self.num_evictions = 0
         self.num_lazy_loads = 0
         self.num_persist_errors = 0
@@ -361,7 +356,6 @@ class SpaceRegistry:
             session_retention=self.session_retention,
             session_idle_timeout=self.session_idle_timeout,
             quota=self.quota,
-            vectorized=self.vectorized,
             now=now,
         )
 

@@ -49,8 +49,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, runt
 import numpy as np
 
 from ..ioutil import atomic_write_text
-from .batch import BatchSimulator
-from .environment import Measurement, PlacementEnvironment, RawOutcome
+from .batch import SWEEP_MIN_LANES, BatchSimulator
+from .environment import Measurement, PlacementEnvironment, RawOutcome, raw_outcome
 from .simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -92,72 +92,27 @@ class EvaluationBackend(Protocol):
 class SerialBackend:
     """The historical behaviour: one in-process evaluation per placement.
 
-    With ``vectorized=True`` the deterministic simulations of a minibatch run
-    as one :class:`~repro.sim.batch.BatchSimulator` sweep; the raw outcomes
-    are still committed per placement in submission order, so measurements,
-    noise draws and clock charges are bit-for-bit those of the scalar path.
-    ``prepare_batch`` (the engine's optional pre-dispatch hook) sweeps the
-    upcoming minibatch once and parks the raws, so the policy path's
-    one-placement-at-a-time calls become table lookups.
+    A minibatch's deterministic simulations go through
+    :meth:`BatchSimulator.raw_outcomes <repro.sim.batch.BatchSimulator
+    .raw_outcomes>`, which sweeps from
+    :data:`~repro.sim.batch.SWEEP_MIN_LANES` placements and runs the scalar
+    loop below that.  The raw outcomes are committed per placement in
+    submission order, so measurements, noise draws and clock charges are
+    bit-for-bit those of ``environment.evaluate`` on each placement.
     """
 
-    def __init__(
-        self, environment: PlacementEnvironment, *, vectorized: bool = False
-    ) -> None:
+    def __init__(self, environment: PlacementEnvironment) -> None:
         self.environment = environment
-        self.vectorized = bool(vectorized)
-        self._batch = BatchSimulator(environment.simulator) if vectorized else None
-        self._prefetched: Dict[bytes, RawOutcome] = {}
-        self.batch_lanes = 0
-        self.prefetch_hits = 0
-
-    def prepare_batch(self, placements) -> None:
-        """Pre-simulate an upcoming minibatch in one vectorized sweep.
-
-        A hint, not a contract: nothing is committed here, and evaluation
-        falls back to the scalar path for any placement not prepared.
-        """
-        if self._batch is None:
-            return
-        self._prefetched.clear()
-        keys: List[bytes] = []
-        unique: List[np.ndarray] = []
-        for p in placements:
-            key = _placement_key(p)
-            if key not in self._prefetched:
-                self._prefetched[key] = RawOutcome(None)  # placeholder, set below
-                keys.append(key)
-                unique.append(p)
-        raws = self._batch.raw_outcomes(unique)
-        self.batch_lanes += len(unique)
-        for key, raw in zip(keys, raws):
-            self._prefetched[key] = raw
-
-    def _raw(self, placement: np.ndarray) -> RawOutcome:
-        raw = self._prefetched.pop(_placement_key(placement), None)
-        if raw is not None:
-            self.prefetch_hits += 1
-            return raw
-        return self.environment.simulate_raw(placement)
+        self._batch = BatchSimulator(environment.simulator)
 
     def evaluate_batch(self, placements: Sequence[np.ndarray]) -> List[Measurement]:
-        if self._batch is not None:
-            if len(placements) > 1:
-                sweep = self._batch.raw_outcomes(placements)
-                self.batch_lanes += len(placements)
-                return [self.environment.commit(raw) for raw in sweep]
-            return [self.environment.commit(self._raw(p)) for p in placements]
-        return [self.environment.evaluate(p) for p in placements]
+        return [self.environment.commit(raw) for raw in self._batch.raw_outcomes(placements)]
 
     def close(self) -> None:
         pass
 
     def stats(self) -> Dict[str, float]:
-        out = {"evaluations": float(self.environment.num_evaluations)}
-        if self.vectorized:
-            out["batch_lanes"] = float(self.batch_lanes)
-            out["prefetch_hits"] = float(self.prefetch_hits)
-        return out
+        return {"evaluations": float(self.environment.num_evaluations)}
 
 
 def _placement_key(placement: Sequence[int]) -> bytes:
@@ -193,22 +148,19 @@ class MemoBackend:
         self,
         environment: PlacementEnvironment,
         max_entries: Optional[int] = None,
-        *,
-        vectorized: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
         self.environment = environment
         self.max_entries = max_entries
-        self.vectorized = bool(vectorized)
-        self._batch = BatchSimulator(environment.simulator) if vectorized else None
+        self._batch = BatchSimulator(environment.simulator)
         self.hits = 0
         self.misses = 0
         self._store: "OrderedDict[bytes, RawOutcome]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
-    # Cache primitives (no environment commit — shared by evaluate_batch
-    # and the measurement service, which commits client-side).
+    # Cache primitives (no environment commit — the measurement service,
+    # which commits client-side, uses them directly).
     def lookup(self, placement: Sequence[int]) -> Optional[RawOutcome]:
         """Cached raw outcome for ``placement``, counting a hit or a miss."""
         key = _placement_key(placement)
@@ -226,23 +178,16 @@ class MemoBackend:
         if self.max_entries is not None and len(self._store) > self.max_entries:
             self._store.popitem(last=False)
 
-    def raw(self, placement: Sequence[int]) -> RawOutcome:
-        """The deterministic outcome, from cache or a fresh simulation."""
-        raw = self.lookup(placement)
-        if raw is None:
-            raw = self.environment.simulate_raw(placement).without_breakdown()
-            self.insert(placement, raw)
-        return raw
-
     def prepare_batch(self, placements) -> None:
-        """Warm the cache for an upcoming minibatch in one vectorized sweep.
+        """Warm the cache for an upcoming minibatch when its misses would sweep.
 
         Peeks the table without touching the hit/miss counters (nothing is
-        being evaluated yet) and simulates only the absent placements.  A
-        no-op unless constructed with ``vectorized=True``.
+        being evaluated yet).  Only when the distinct absent placements
+        reach :data:`~repro.sim.batch.SWEEP_MIN_LANES` are they simulated,
+        in one sweep; fewer would run the same scalar loop the
+        per-placement evaluations run anyway, and warming them early would
+        only relabel their misses as hits.
         """
-        if self._batch is None:
-            return
         seen: Dict[bytes, None] = {}
         missing: List[np.ndarray] = []
         for p in placements:
@@ -250,48 +195,50 @@ class MemoBackend:
             if key not in self._store and key not in seen:
                 seen[key] = None
                 missing.append(p)
-        if missing:
+        if len(missing) >= SWEEP_MIN_LANES:
             for p, raw in zip(missing, self._batch.raw_outcomes(missing)):
                 self.insert(p, raw)
 
-    def _raws_vectorized(self, placements: Sequence[np.ndarray]) -> List[RawOutcome]:
-        """Batch equivalent of ``[self.raw(p) for p in placements]``.
+    def _raws(self, placements: Sequence[np.ndarray]) -> List[RawOutcome]:
+        """The deterministic outcome of each placement, from cache or fresh.
 
-        Counter semantics match the scalar walk exactly: the first
-        occurrence of an uncached placement is a miss, repeats within the
-        batch are hits (the scalar walk would have inserted it by then).
+        Cache misses are deduplicated and simulated in one
+        :meth:`BatchSimulator.raw_outcomes <repro.sim.batch.BatchSimulator
+        .raw_outcomes>` call.  Counters match a placement-by-placement walk:
+        the first occurrence of an uncached placement is a miss, and repeats
+        within the batch are hits (the walk would have inserted it by then).
         Only LRU eviction *timing* under ``max_entries`` can differ — raw
         outcomes are deterministic, so a re-simulated eviction victim
         yields the identical measurement either way.
         """
         keys = [_placement_key(p) for p in placements]
+        found: List[Optional[RawOutcome]] = []
         pending: Dict[bytes, int] = {}
         missing: List[np.ndarray] = []
         for key, p in zip(keys, placements):
-            if key in self._store or key in pending:
+            raw = self._store.get(key)
+            if raw is not None:
                 self.hits += 1
-                if key in self._store:
-                    self._store.move_to_end(key)
+                self._store.move_to_end(key)
+            elif key in pending:
+                self.hits += 1
             else:
                 self.misses += 1
                 pending[key] = len(missing)
                 missing.append(p)
-        fresh = self._batch.raw_outcomes(missing) if missing else []
+            found.append(raw)
+        if not missing:
+            return found
+        fresh = self._batch.raw_outcomes(missing)
         for p, raw in zip(missing, fresh):
             self.insert(p, raw)
-        out: List[RawOutcome] = []
-        for key in keys:
-            raw = self._store.get(key)
-            if raw is None:  # evicted within this batch under max_entries
-                raw = fresh[pending[key]].without_breakdown()
-            out.append(raw)
-        return out
+        return [
+            raw if raw is not None else fresh[pending[key]]
+            for key, raw in zip(keys, found)
+        ]
 
     def evaluate_batch(self, placements: Sequence[np.ndarray]) -> List[Measurement]:
-        if self._batch is not None and len(placements) > 1:
-            raws = self._raws_vectorized(placements)
-            return [self.environment.commit(raw) for raw in raws]
-        return [self.environment.commit(self.raw(p)) for p in placements]
+        return [self.environment.commit(raw) for raw in self._raws(placements)]
 
     # ------------------------------------------------------------------ #
     # Persistence: spill the raw-outcome table across processes/runs.
@@ -443,15 +390,7 @@ def _parallel_worker_init(graph, topology, cost_model, base_seed, counter) -> No
 
 def _parallel_worker_simulate(placement: np.ndarray) -> RawOutcome:
     assert _worker_simulator is not None, "worker pool not initialised"
-    try:
-        breakdown = _worker_simulator.simulate(placement)
-    except Exception as exc:  # OutOfMemoryError and friends
-        from .simulator import OutOfMemoryError
-
-        if isinstance(exc, OutOfMemoryError):
-            return RawOutcome(None, oom_detail=exc.overcommitted)
-        raise
-    return RawOutcome(breakdown.makespan)
+    return raw_outcome(_worker_simulator, placement)
 
 
 class ParallelBackend:
@@ -537,7 +476,6 @@ def make_backend(
     fault_plan: Optional["FaultPlan"] = None,
     remote: Optional[str] = None,
     remote_timeout: float = 30.0,
-    vectorized: bool = False,
 ) -> EvaluationBackend:
     """Pick a backend from CLI-ish knobs.
 
@@ -554,12 +492,9 @@ def make_backend(
     with any non-zero rate wraps the result in a
     :class:`~repro.sim.faults.FaultInjectingBackend` (chaos testing).
 
-    ``vectorized=True`` makes the in-process backends run each minibatch's
-    deterministic simulations as one :class:`~repro.sim.batch
-    .BatchSimulator` sweep (measurements stay bit-for-bit identical; only
-    throughput changes).  Remote evaluation vectorizes server-side
-    (``repro serve --vectorized``), and :class:`ParallelBackend` already
-    shards across processes, so the flag is a no-op for both.
+    The in-process backends and the measurement server sweep a batch
+    exactly when it has at least :data:`~repro.sim.batch.SWEEP_MIN_LANES`
+    placements to simulate, and run the scalar loop otherwise.
     """
     if remote is not None:
         # repro: allow[layer-import] lazy factory hook — runs only when --remote is requested, so sim carries no import-time service dependency (service imports sim eagerly; the reverse eager import would be a cycle)
@@ -571,9 +506,9 @@ def make_backend(
     elif workers and workers > 1:
         backend = ParallelBackend(environment, workers=workers, seed=seed)
     elif cache:
-        backend = MemoBackend(environment, vectorized=vectorized)
+        backend = MemoBackend(environment)
     else:
-        backend = SerialBackend(environment, vectorized=vectorized)
+        backend = SerialBackend(environment)
     if fault_plan is not None and fault_plan.enabled:
         from .faults import FaultInjectingBackend
 

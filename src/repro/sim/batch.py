@@ -25,6 +25,14 @@ The memory check is one scatter-add over a ``(K, n) -> (K, d)`` index map
 over-commit detail the scalar path raises — they are excluded from the
 sweep and reported per lane instead of raised.
 
+The sweep pays off only from about a dozen lanes: below that its per-op
+numpy dispatch costs more than the scalar loop's plain float arithmetic.
+:meth:`BatchSimulator.raw_outcomes` — the one method every evaluator calls —
+therefore sweeps when a batch has at least :data:`SWEEP_MIN_LANES`
+placements and runs the scalar loop otherwise.  Both sides give the same
+outcomes, so the rule changes speed only.  DESIGN.md §11 has the measured
+crossover.
+
 What stays scalar: the *commit* half of an evaluation.  A
 :class:`~repro.sim.environment.RawOutcome` is deterministic and cacheable;
 measurement noise and environment-clock charges are drawn per evaluation in
@@ -40,10 +48,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .environment import RawOutcome
+from .environment import RawOutcome, raw_outcome
 from .simulator import Simulator
 
-__all__ = ["BatchStepBreakdown", "BatchSimulator"]
+__all__ = ["BatchStepBreakdown", "BatchSimulator", "SWEEP_MIN_LANES"]
+
+#: Smallest batch :meth:`BatchSimulator.raw_outcomes` sweeps; smaller
+#: batches run the scalar loop, which is faster there (DESIGN.md §11).
+SWEEP_MIN_LANES = 16
 
 #: Per-lane out-of-memory detail: device -> (demanded bytes, capacity bytes).
 OomDetail = Dict[int, Tuple[float, float]]
@@ -97,28 +109,36 @@ class BatchSimulator:
     Wraps an existing :class:`Simulator` and reuses all of its
     placement-independent precomputation (topological order, per-op compute
     table, link parameters).  One instance is reusable across batches of any
-    size, including K=1.
+    size, including K=1.  The sweep's own tables are built on the first
+    sweep, so an instance that only ever runs the scalar side costs nothing.
     """
 
     def __init__(self, simulator: Simulator) -> None:
         self.simulator = simulator
-        # How many consumers read each producer's output.  A producer with a
-        # single consumer can never hit the per-(producer, device) arrival
-        # dedup, so its lanes skip the arrival table entirely.
-        n = simulator.graph.num_ops
-        succ_count = np.zeros(n, dtype=np.int64)
-        for preds in simulator._pred_of:
-            for u in preds:
-                succ_count[u] += 1
-        self._multi_consumer = succ_count > 1
-        # Per-producer wire cost for every ordered device pair,
-        # latency + bytes / bandwidth — the same two placement-independent
-        # float operations the scalar loop performs per transfer, hoisted
-        # out of the sweep.  (n, d, d) float64; a few hundred KiB.
-        self._wire = (
-            simulator._latency[None, :, :]
-            + simulator._out_bytes[:, None, None] * simulator._inv_bw[None, :, :]
-        )
+        self._multi_consumer: Optional[np.ndarray] = None
+        self._wire: Optional[np.ndarray] = None
+
+    def _sweep_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(wire, multi_consumer)``, built on first use."""
+        if self._wire is None:
+            sim = self.simulator
+            # How many consumers read each producer's output.  A producer
+            # with a single consumer can never hit the per-(producer,
+            # device) arrival dedup, so its lanes skip the arrival table.
+            succ_count = np.zeros(sim.graph.num_ops, dtype=np.int64)
+            for preds in sim._pred_of:
+                for u in preds:
+                    succ_count[u] += 1
+            self._multi_consumer = succ_count > 1
+            # Per-producer wire cost for every ordered device pair,
+            # latency + bytes / bandwidth — the same two placement-
+            # independent float operations the scalar loop performs per
+            # transfer, hoisted out of the sweep.  (n, d, d) float64.
+            self._wire = (
+                sim._latency[None, :, :]
+                + sim._out_bytes[:, None, None] * sim._inv_bw[None, :, :]
+            )
+        return self._wire, self._multi_consumer
 
     # ------------------------------------------------------------------ #
     @property
@@ -244,8 +264,15 @@ class BatchSimulator:
         return self.simulate_batch(placements).step_times
 
     def raw_outcomes(self, placements: Sequence[Sequence[int]]) -> List[RawOutcome]:
-        """Deterministic outcomes for a batch, ready for per-placement commit."""
-        return self.simulate_batch(placements).raw_outcomes()
+        """Deterministic outcomes for a batch, ready for per-placement commit.
+
+        Sweeps when the batch has at least :data:`SWEEP_MIN_LANES`
+        placements and runs the scalar loop otherwise; the outcomes are
+        the same either way.
+        """
+        if len(placements) >= SWEEP_MIN_LANES:
+            return self.simulate_batch(placements).raw_outcomes()
+        return [raw_outcome(self.simulator, p) for p in placements]
 
     # ------------------------------------------------------------------ #
     def _sweep(self, P: np.ndarray, record_trace: bool) -> Dict[str, np.ndarray]:
@@ -275,12 +302,11 @@ class BatchSimulator:
         op_start = np.zeros((M, n)) if record_trace else None
 
         compute = sim._compute
-        wire_table = self._wire
+        wire_table, multi = self._sweep_tables()
         out_bytes = sim._out_bytes
         dispatch = sim._dispatch
         send_ovh = sim.cost_model.send_overhead
         recv_ovh = sim.cost_model.recv_overhead
-        multi = self._multi_consumer
         # Row-wise sum over the contiguous axis pairwise-reduces each row
         # exactly like the scalar float(dispatch[p].sum()).
         dispatch_total = dispatch[P].sum(axis=1)

@@ -39,7 +39,7 @@ from .cost_model import CostModel
 from .devices import Topology
 from .simulator import OutOfMemoryError, Simulator, StepBreakdown
 
-__all__ = ["Measurement", "RawOutcome", "PlacementEnvironment"]
+__all__ = ["Measurement", "RawOutcome", "raw_outcome", "PlacementEnvironment"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,22 @@ class RawOutcome:
         if self.breakdown is None:
             return self
         return RawOutcome(self.base_time, self.oom_detail)
+
+
+def raw_outcome(
+    simulator: Simulator, placement: Sequence[int], with_breakdown: bool = False
+) -> RawOutcome:
+    """One scalar simulation as a :class:`RawOutcome`.
+
+    The single place an :class:`OutOfMemoryError` becomes an OOM outcome:
+    the environment, the batch simulator's scalar side and the parallel
+    backend's workers all call it.
+    """
+    try:
+        breakdown = simulator.simulate(placement)
+    except OutOfMemoryError as exc:
+        return RawOutcome(None, oom_detail=exc.overcommitted)
+    return RawOutcome(breakdown.makespan, breakdown=breakdown if with_breakdown else None)
 
 
 class PlacementEnvironment:
@@ -161,13 +177,7 @@ class PlacementEnvironment:
         This is the cacheable half of :meth:`evaluate` — see the module
         docstring for the cache-vs-noise contract.
         """
-        try:
-            breakdown = self.simulator.simulate(placement)
-        except OutOfMemoryError as exc:
-            return RawOutcome(None, oom_detail=exc.overcommitted)
-        return RawOutcome(
-            breakdown.makespan, breakdown=breakdown if with_breakdown else None
-        )
+        return raw_outcome(self.simulator, placement, with_breakdown)
 
     def commit(self, raw: RawOutcome) -> Measurement:
         """Account one measurement of a raw outcome: draw the per-evaluation
@@ -211,15 +221,14 @@ class PlacementEnvironment:
     def final_evaluate(self, placement: Sequence[int], steps: int = 1000) -> Measurement:
         """The post-training evaluation of §IV-C: run the best placement for
         ``steps`` steps (5 warm-up discarded) without advancing the clock."""
-        try:
-            breakdown = self.simulator.simulate(placement)
-        except OutOfMemoryError as exc:
-            return Measurement(float("inf"), False, 0.0, oom_detail=exc.overcommitted)
-        base = breakdown.makespan
+        raw = raw_outcome(self.simulator, placement, with_breakdown=True)
+        if raw.is_oom:
+            return Measurement(float("inf"), False, 0.0, oom_detail=raw.oom_detail)
+        base = raw.base_time
         if self.noise_std > 0:
             noise = self._rng.lognormal(0.0, self.noise_std / np.sqrt(steps))
             base = float(base * noise)
-        return Measurement(base, True, 0.0, breakdown=breakdown)
+        return Measurement(base, True, 0.0, breakdown=raw.breakdown)
 
     def reset_clock(self) -> None:
         """Zero the environment clock and counters (new training run)."""

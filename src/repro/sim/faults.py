@@ -182,9 +182,11 @@ class FaultInjectingBackend:
         """Forward the engine's pre-dispatch hint to the wrapped backend.
 
         Without this forwarding, wrapping a backend for chaos testing would
-        silently disable batch ticketing (remote prefetch, vectorized
-        sweeps): the engine discovers ``prepare_batch`` with ``getattr`` on
-        the outermost backend only.  No fault fates are drawn here — the
+        silently disable batch ticketing (remote prefetch, and the memo's
+        cache warm-up, which sweeps a minibatch of at least
+        :data:`~repro.sim.batch.SWEEP_MIN_LANES` misses): the engine
+        discovers ``prepare_batch`` with ``getattr`` on the outermost
+        backend only.  No fault fates are drawn here — the
         hint is not an evaluation, and the fault stream must depend only on
         how many evaluations ran.
         """

@@ -169,3 +169,25 @@ class TestCliExitCodes:
         )
         assert bad.returncode == 1
         assert "regressed" in bad.stdout + bad.stderr
+
+
+class TestServiceLane:
+    def test_service_lane_times_a_real_sweep(self, monkeypatch):
+        """The service lane's batch of 64 fresh placements reaches
+        SWEEP_MIN_LANES, so the server sweeps every one of them instead of
+        falling back to one scalar pool task per placement."""
+        from repro.bench.micro import _bench_service
+        from repro.service.server import MeasurementServer
+
+        lanes = []
+        close = MeasurementServer.close
+
+        def recording_close(server):
+            lanes.append(server.stats()["batch_lanes"])
+            close(server)
+
+        monkeypatch.setattr(MeasurementServer, "close", recording_close)
+        batch = 64
+        metrics = _bench_service(batch, repeats=1, seed=0)
+        assert metrics["service.placements_per_sec"] > 0
+        assert lanes[0] == float(batch)

@@ -22,7 +22,6 @@ from repro.core.engine import (
 from repro.core.events import (
     CallbackList,
     HistoryRecorder,
-    LegacyProgressAdapter,
     ProgressPrinter,
     SearchCallback,
 )
@@ -243,17 +242,6 @@ class TestEventLayer:
         lines = [ln for ln in capsys.readouterr().out.splitlines() if "samples" in ln]
         assert len(lines) == 1 and "20/20" in lines[0]
 
-    def test_legacy_progress_deprecated_but_working(self):
-        _, env, agent, _ = golden_scenario()
-        config = SearchConfig(max_samples=20, minibatch_size=10)
-        calls = []
-        with pytest.warns(DeprecationWarning):
-            PlacementSearch(agent, env, "ppo", config).run(
-                progress=lambda n, b, s: calls.append((n, b))
-            )
-        assert [n for n, _ in calls] == [10, 20]
-        assert all(np.isfinite(b) for _, b in calls)
-
     def test_callback_list_dispatch(self):
         a, b = RecordingCallback(), RecordingCallback()
         cl = CallbackList([a])
@@ -261,18 +249,6 @@ class TestEventLayer:
         cl.on_search_start(None)
         assert a.events == ["start"] and b.events == ["start"]
         assert len(cl) == 2
-
-    def test_legacy_adapter_unit(self):
-        calls = []
-
-        class FakeEngine:
-            num_samples = 7
-            best_time = 0.5
-
-        LegacyProgressAdapter(lambda n, b, s: calls.append((n, b, s))).on_update(
-            FakeEngine(), {"loss": 1.0}
-        )
-        assert calls == [(7, 0.5, {"loss": 1.0})]
 
 
 def chaos_search(

@@ -22,6 +22,9 @@ from repro.core.checkpoint import (
 )
 from repro.core.events import SearchCallback
 from repro.sim import FaultPlan, PlacementEnvironment, make_backend
+from repro.sim.batch import SWEEP_MIN_LANES
+
+from ..reference import SideSpy
 
 
 class _SimulatedCrash(Exception):
@@ -39,10 +42,16 @@ class _CrashAfter(SearchCallback):
             raise _SimulatedCrash()
 
 
-def _make_search(layered_graph, topology, *, chaos: bool = False):
+def _make_search(
+    layered_graph, topology, *, chaos: bool = False, minibatch_size: int = 10,
+    num_groups: int = 6,
+):
     env = PlacementEnvironment(layered_graph, topology, seed=0)
-    agent = PostAgent(layered_graph, topology.num_devices, num_groups=6, seed=0)
-    config = SearchConfig(max_samples=40, entropy_coef=0.1, entropy_coef_final=0.01)
+    agent = PostAgent(layered_graph, topology.num_devices, num_groups=num_groups, seed=0)
+    config = SearchConfig(
+        max_samples=40, minibatch_size=minibatch_size,
+        entropy_coef=0.1, entropy_coef_final=0.01,
+    )
     plan = policy = None
     if chaos:
         plan = FaultPlan(crash_rate=0.08, straggler_rate=0.05,
@@ -109,6 +118,30 @@ class TestGoldenResume:
             resumed = _make_search(layered_graph, topology)
             restore_engine(resumed.engine, load_checkpoint(path))
             _assert_same_result(resumed.run(), golden)
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    def test_swept_minibatches_resume_bit_for_bit(
+        self, layered_graph, topology, tmp_path, chaos, monkeypatch
+    ):
+        """Minibatches of SWEEP_MIN_LANES placements are swept (by
+        evaluate_batch, or by prepare_batch on the policy path) and still
+        commit per placement, so a crash-and-resume lands on the
+        uninterrupted run's exact result."""
+        sized = dict(chaos=chaos, minibatch_size=SWEEP_MIN_LANES, num_groups=12)
+        path = str(tmp_path / "ckpt.npz")
+        spy = SideSpy(monkeypatch)
+        golden = _make_search(layered_graph, topology, **sized).run()
+        assert spy.sweeps >= 1
+
+        crashed = _make_search(layered_graph, topology, **sized)
+        with pytest.raises(_SimulatedCrash):
+            crashed.run(callbacks=[CheckpointCallback(path), _CrashAfter(1)])
+        ckpt = load_checkpoint(path)
+        assert ckpt["meta"]["num_samples"] == SWEEP_MIN_LANES
+
+        resumed = _make_search(layered_graph, topology, **sized)
+        restore_engine(resumed.engine, ckpt)
+        _assert_same_result(resumed.run(), golden)
 
 
 class TestCheckpointCallback:

@@ -55,14 +55,6 @@ class TestSearch:
         res = PlacementSearch(agent, env, "ppo", cfg).run()
         assert res.final_time == pytest.approx(res.best_time, rel=0.05)
 
-    def test_progress_callback_invoked(self, agent, env):
-        calls = []
-        cfg = SearchConfig(max_samples=20, minibatch_size=10)
-        PlacementSearch(agent, env, "ppo", cfg).run(
-            progress=lambda n, b, s: calls.append(n)
-        )
-        assert calls == [10, 20]
-
     def test_all_algorithms_run(self, layered_graph, topology):
         for algo in ("reinforce", "ppo", "ppo_ce"):
             env = PlacementEnvironment(layered_graph, topology, seed=0)

@@ -12,6 +12,7 @@ from repro.service import protocol
 from repro.service.protocol import HandshakeError
 from repro.service.tenancy import SpaceSpec
 from repro.sim import Topology
+from repro.sim.batch import SWEEP_MIN_LANES
 
 from .test_service import _env, _placements
 
@@ -138,19 +139,20 @@ class TestHandshakeCodes:
             timer.cancel()
             server.registry._loading.discard(fingerprint)
 
-    @pytest.mark.parametrize("vectorized", [False, True])
-    def test_concurrent_same_placement_simulates_once(self, vectorized):
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_concurrent_same_placement_simulates_once(self, sweep):
         """Singleflight: two clients racing batches that share placements
         must never simulate a placement twice — the memo dedupes landed
         results, the pending-simulation table dedupes in-flight ones.
-        Whatever the interleaving, simulations == distinct placements."""
-        server = MeasurementServer(
-            multi_tenant=True, port=0, workers=2, vectorized=vectorized
-        ).start()
+        Whatever the interleaving, simulations == distinct placements.
+        Each batch sits on one side of SWEEP_MIN_LANES, so its misses run
+        one pool task each or one swept chunk."""
+        server = MeasurementServer(multi_tenant=True, port=0, workers=2).start()
         env = _tenant_env()
+        size = SWEEP_MIN_LANES if sweep else SWEEP_MIN_LANES - 1
         common = _placements(env, 3, seed=9)
-        batch_a = _placements(env, 6, seed=2) + common
-        batch_b = common + _placements(env, 6, seed=3)
+        batch_a = _placements(env, size - 3, seed=2) + common
+        batch_b = common + _placements(env, size - 3, seed=3)
         distinct = {
             np.asarray(p, dtype=np.int64).tobytes()
             for p in batch_a + batch_b
@@ -178,6 +180,11 @@ class TestHandshakeCodes:
             assert len(results[1]) == len(batch_b)
             assert server.num_simulations == len(distinct)
             assert server._pending_sims == {}
+            # The first batch to reach the server misses on all of its lanes.
+            if sweep:
+                assert server.batch_lanes >= SWEEP_MIN_LANES
+            else:
+                assert server.batch_lanes == 0
             stats = server.registry.snapshot()[0].stats()
             assert stats["memo_entries"] == float(len(distinct))
         finally:

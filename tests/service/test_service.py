@@ -27,7 +27,10 @@ from repro.graph.models import build_random_layered
 from repro.service import protocol
 from repro.service.protocol import HandshakeError, ProtocolError
 from repro.sim import EvaluationFault, Topology
+from repro.sim.batch import SWEEP_MIN_LANES
 from repro.sim.environment import RawOutcome
+
+from ..reference import PerPlacementBackend, SideSpy
 
 
 def _graph():
@@ -100,6 +103,27 @@ class TestGoldenEquivalence:
         # noise + clock charged from the *local* env, identically to serial
         assert remote_env.env_time == local_env.env_time
         assert remote_env.num_evaluations == local_env.num_evaluations
+
+    @pytest.mark.parametrize("lanes", [SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES])
+    def test_sweep_rule_matches_per_placement_reference(self, server, lanes, monkeypatch):
+        """A batch's misses run one pool task each below SWEEP_MIN_LANES
+        and one swept chunk from it; both sides land == per-placement
+        evaluation."""
+        remote_env = _env(seed=3)
+        reference = PerPlacementBackend(_env(seed=3))
+        placements = _placements(remote_env, lanes, seed=5)
+        want = reference.evaluate_batch(placements)
+        spy = SideSpy(monkeypatch)
+        with RemoteBackend(remote_env, server.address, timeout=10.0) as remote:
+            got = remote.evaluate_batch(placements)
+        assert [m.per_step_time for m in got] == [m.per_step_time for m in want]
+        assert [m.env_time_charged for m in got] == [m.env_time_charged for m in want]
+        assert remote_env.env_time == reference.environment.env_time
+        swept = lanes >= SWEEP_MIN_LANES
+        assert (spy.sweeps, spy.scalar) == ((1, 0) if swept else (0, lanes))
+        stats = server.stats()
+        assert stats["simulations"] == lanes
+        assert stats["batch_lanes"] == (lanes if swept else 0)
 
     def test_oom_raw_survives_the_wire(self):
         tiny = Topology.default_4gpu(num_gpus=2, gpu_memory_bytes=1 << 10)

@@ -11,7 +11,11 @@ from repro.sim import (
     Topology,
     make_backend,
 )
-from repro.sim.environment import RawOutcome
+from repro.sim import BatchSimulator, Simulator
+from repro.sim.batch import SWEEP_MIN_LANES
+from repro.sim.environment import RawOutcome, raw_outcome
+
+from ..reference import PerPlacementBackend, SideSpy
 
 
 def _env(graph, topology, **kwargs):
@@ -95,6 +99,67 @@ class TestSerialBackend:
         assert backend.environment.env_time == direct.env_time
 
 
+def _mixed_oom_topology():
+    """2 GPUs small enough that about half of random placements OOM."""
+    return Topology.default_4gpu(num_gpus=2, gpu_memory_bytes=3 << 20)
+
+
+class TestSweepRule:
+    """``BatchSimulator.raw_outcomes`` sweeps from ``SWEEP_MIN_LANES``
+    placements and runs the scalar loop below; every in-process evaluator
+    goes through it and stays ``==`` per-placement evaluation on both sides."""
+
+    SIDES = [SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES]
+
+    @pytest.mark.parametrize("lanes", SIDES)
+    def test_raw_outcomes_pick_a_side(self, layered_graph, lanes, monkeypatch):
+        sim = Simulator(layered_graph, _mixed_oom_topology())
+        placements = _random_placements(layered_graph, sim.topology, lanes)
+        expected = [raw_outcome(sim, p) for p in placements]
+        assert any(r.is_oom for r in expected) and not all(r.is_oom for r in expected)
+        batch = BatchSimulator(sim)
+        spy = SideSpy(monkeypatch)
+        assert batch.raw_outcomes(placements) == expected
+        swept = lanes >= SWEEP_MIN_LANES
+        assert (spy.sweeps, spy.scalar) == ((1, 0) if swept else (0, lanes))
+        # The sweep's tables are built by the first sweep, never before.
+        assert (batch._wire is not None) == swept
+
+    @pytest.mark.parametrize("lanes", SIDES)
+    @pytest.mark.parametrize("kind", ["serial", "memo"])
+    def test_backend_equals_per_placement_reference(
+        self, layered_graph, kind, lanes, monkeypatch
+    ):
+        topology = _mixed_oom_topology()
+        placements = _random_placements(layered_graph, topology, lanes)
+        reference = PerPlacementBackend(_env(layered_graph, topology, noise_std=0.05))
+        expected = reference.evaluate_batch(placements)
+        cls = SerialBackend if kind == "serial" else MemoBackend
+        backend = cls(_env(layered_graph, topology, noise_std=0.05))
+        spy = SideSpy(monkeypatch)
+        got = backend.evaluate_batch(placements)
+        assert [m.per_step_time for m in got] == [m.per_step_time for m in expected]
+        assert [m.env_time_charged for m in got] == [m.env_time_charged for m in expected]
+        assert [m.oom_detail for m in got] == [m.oom_detail for m in expected]
+        assert backend.environment.env_time == reference.environment.env_time
+        assert backend.environment.num_oom == reference.environment.num_oom
+        swept = lanes >= SWEEP_MIN_LANES
+        assert (spy.sweeps, spy.scalar) == ((1, 0) if swept else (0, lanes))
+
+    @pytest.mark.parametrize("lanes", SIDES)
+    def test_memo_prepare_batch_warms_only_a_sweep(
+        self, layered_graph, topology, lanes, monkeypatch
+    ):
+        backend = MemoBackend(_env(layered_graph, topology))
+        placements = _random_placements(layered_graph, topology, lanes)
+        spy = SideSpy(monkeypatch)
+        backend.prepare_batch(placements + placements[:3])  # repeats dedupe
+        swept = lanes >= SWEEP_MIN_LANES
+        assert len(backend) == (lanes if swept else 0)
+        assert (spy.sweeps, spy.scalar) == ((1, 0) if swept else (0, 0))
+        assert backend.hits == backend.misses == 0  # a hint, not an evaluation
+
+
 class TestMemoBackend:
     def test_hit_and_miss_counting(self, layered_graph, topology):
         backend = MemoBackend(_env(layered_graph, topology))
@@ -145,6 +210,18 @@ class TestMemoBackend:
         assert len(backend) == 2
         backend.evaluate_batch([a])
         assert backend.misses == 4 and backend.hits == 0
+
+    def test_lru_eviction_within_a_batch(self, layered_graph, topology):
+        """A hit evicted by the same batch's inserts still measures."""
+        backend = MemoBackend(_env(layered_graph, topology), max_entries=2)
+        reference = PerPlacementBackend(_env(layered_graph, topology))
+        a, b, c, d = _random_placements(layered_graph, topology, 4)
+        for batch in ([a, b], [a, c, d]):  # c evicts b, then d evicts a
+            got = backend.evaluate_batch(batch)
+            want = reference.evaluate_batch(batch)
+            assert [m.per_step_time for m in got] == [m.per_step_time for m in want]
+        assert (backend.hits, backend.misses) == (1, 4)
+        assert len(backend) == 2
 
     def test_invalid_max_entries_rejected(self, layered_graph, topology):
         with pytest.raises(ValueError):

@@ -131,6 +131,20 @@ class TestServiceCli:
         assert main(argv) == 0  # second run warm-starts from the file
         assert "raw outcomes loaded from" in capsys.readouterr().out
 
+    def test_memo_path_roundtrip_under_fault_injection(self, tmp_path, capsys):
+        """A fault plan wraps the memo backend; --memo-path must still reach it."""
+        path = tmp_path / "memo.json"
+        argv = [
+            "place", "--model", "inception_v3", "--agent", "post",
+            "--samples", "8", "--groups", "4", "--fault-rate", "0.1",
+            "--memo-path", str(path),
+        ]
+        assert main(argv) == 0
+        assert "raw outcomes saved to" in capsys.readouterr().out
+        assert path.exists()
+        assert main(argv) == 0
+        assert "raw outcomes loaded from" in capsys.readouterr().out
+
     def test_memo_path_needs_cached_backend(self, capsys):
         assert main(["place", "--memo-path", "x.json", "--no-cache"]) == 2
         assert "--memo-path" in capsys.readouterr().err

@@ -12,7 +12,18 @@ from repro.grouping import cut_cost, partition_kway
 from repro.grouping.fluid import asyn_fluidc_assignment
 from repro.nn import Tensor
 from repro.rl import EMABaseline, reward_from_time
-from repro.sim import BatchSimulator, FaultPlan, OutOfMemoryError, Simulator, Topology
+from repro.sim import (
+    BatchSimulator,
+    FaultPlan,
+    MemoBackend,
+    OutOfMemoryError,
+    SerialBackend,
+    Simulator,
+    Topology,
+)
+from repro.sim.batch import SWEEP_MIN_LANES
+
+from .reference import PerPlacementBackend, SideSpy
 
 SETTINGS = dict(max_examples=25, deadline=None)
 
@@ -209,20 +220,16 @@ class TestFaultPolicyProperties:
     never surfaces a corrupted (non-finite / non-positive) best time, and
     the fault accounting balances exactly."""
 
-    def _run(self, plan, vectorized=False):
+    def _run(self, plan, inner=SerialBackend, minibatch_size=8, num_groups=4):
         from repro.core import EvaluationPolicy, PlacementSearch, PostAgent, SearchConfig
-        from repro.sim import (
-            FaultInjectingBackend,
-            PlacementEnvironment,
-            SerialBackend,
-        )
+        from repro.sim import FaultInjectingBackend, PlacementEnvironment
 
         graph = build_random_layered(num_layers=4, width=3, seed=11)
         topo = Topology.default_4gpu(num_gpus=2)
         env = PlacementEnvironment(graph, topo, seed=0, setup_time=1.0)
-        agent = PostAgent(graph, topo.num_devices, num_groups=4, seed=0)
-        config = SearchConfig(max_samples=16, minibatch_size=8)
-        backend = FaultInjectingBackend(SerialBackend(env, vectorized=vectorized), plan)
+        agent = PostAgent(graph, topo.num_devices, num_groups=num_groups, seed=0)
+        config = SearchConfig(max_samples=2 * minibatch_size, minibatch_size=minibatch_size)
+        backend = FaultInjectingBackend(inner(env), plan)
         # max_step_time below the plan's outlier scale makes corruption
         # detection complete, so backend and engine accounting must agree.
         policy = EvaluationPolicy(max_retries=3, max_step_time=60.0)
@@ -261,23 +268,29 @@ class TestFaultPolicyProperties:
     @given(plan=fault_plan_strategy)
     @settings(max_examples=10, deadline=None)
     def test_vectorized_batches_preserve_fault_accounting(self, plan):
-        """FaultInjectingBackend over a vectorized backend (prepare_batch
-        sweeps + per-placement commits) keeps the accounting invariant and
-        lands on the serial run's exact numbers."""
-        vec, backend_vec = self._run(plan, vectorized=True)
-        assert vec.num_faults == vec.num_retries + vec.num_quarantined
-        assert backend_vec.faults_injected == vec.num_faults
-        serial, backend_serial = self._run(plan, vectorized=False)
-        assert vec.best_time == serial.best_time
-        assert vec.wall_time == serial.wall_time
-        assert (vec.num_faults, vec.num_retries, vec.num_quarantined) == (
-            serial.num_faults,
-            serial.num_retries,
-            serial.num_quarantined,
+        """FaultInjectingBackend over a MemoBackend whose minibatches of
+        SWEEP_MIN_LANES placements prepare_batch sweeps (then commits per
+        placement) keeps the accounting invariant and lands on the
+        per-placement reference's exact numbers."""
+        sized = dict(minibatch_size=SWEEP_MIN_LANES, num_groups=10)
+        with pytest.MonkeyPatch.context() as mp:
+            spy = SideSpy(mp)
+            swept, backend_swept = self._run(plan, MemoBackend, **sized)
+        assert spy.sweeps >= 1
+        assert swept.num_faults == swept.num_retries + swept.num_quarantined
+        assert backend_swept.faults_injected == swept.num_faults
+        ref, backend_ref = self._run(plan, PerPlacementBackend, **sized)
+        assert swept.best_time == ref.best_time
+        assert swept.wall_time == ref.wall_time
+        assert swept.history.per_step_time == ref.history.per_step_time
+        assert (swept.num_faults, swept.num_retries, swept.num_quarantined) == (
+            ref.num_faults,
+            ref.num_retries,
+            ref.num_quarantined,
         )
-        # stats must agree on everything but the operational lane counters
-        # the vectorized backend adds (batch_lanes, vectorized).
-        sv, ss = backend_vec.stats(), backend_serial.stats()
+        # stats must agree on everything but the inner backends' own
+        # counters (the memo's hits and misses).
+        sv, ss = backend_swept.stats(), backend_ref.stats()
         shared = set(sv) & set(ss)
         assert {k: sv[k] for k in shared} == {k: ss[k] for k in shared}
 
