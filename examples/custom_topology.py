@@ -12,10 +12,10 @@ Run:  python examples/custom_topology.py
 
 from repro import (
     EagleAgent,
-    ParallelBackend,
     PlacementEnvironment,
     PlacementSearch,
     SearchConfig,
+    make_backend,
 )
 from repro.graph.models import build_benchmark
 from repro.sim.devices import DeviceSpec, LinkSpec, Topology
@@ -57,11 +57,10 @@ def main() -> None:
     env = PlacementEnvironment(graph, topo, seed=0)
     agent = EagleAgent(graph, env.num_devices, num_groups=48, placer_hidden=64, seed=0)
     config = SearchConfig(max_samples=200, entropy_coef=0.1, entropy_coef_final=0.02)
-    # Shard each minibatch over two simulator processes.  Workers run the
-    # deterministic simulation only; noise comes from the environment's own
-    # RNG stream, so the result is identical to a serial run on this seed.
-    with ParallelBackend(env, workers=2, seed=0) as backend:
-        res = PlacementSearch(agent, env, "ppo", config, backend=backend).run()
+    # The default backend memoises the deterministic simulation of repeated
+    # placements; noise comes from the environment's own RNG stream, so the
+    # result is identical to an uncached run on this seed.
+    res = PlacementSearch(agent, env, "ppo", config, backend=make_backend(env)).run()
     print(f"Best placement: {res.final_time * 1000:.0f} ms/step")
 
     bd = env.simulator.simulate(res.best_placement)

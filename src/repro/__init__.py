@@ -41,7 +41,6 @@ from .sim import (
     CostModel,
     SerialBackend,
     MemoBackend,
-    ParallelBackend,
     make_backend,
     EvaluationFault,
     FaultPlan,
@@ -78,7 +77,6 @@ __all__ = [
     "CostModel",
     "SerialBackend",
     "MemoBackend",
-    "ParallelBackend",
     "make_backend",
     "EvaluationPolicy",
     "EvaluationFault",

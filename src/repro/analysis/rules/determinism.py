@@ -1,6 +1,6 @@
 """Determinism rules: the bit-for-bit reproducibility invariants.
 
-The repo's load-bearing guarantee is that Serial/Memo/Parallel/Remote
+The repo's load-bearing guarantee is that Serial/Memo/Remote
 backends and fault-injected runs produce identical results per seed.
 Everything that can silently break that falls into three classes, each a
 rule here: reading real-world clocks/entropy, drawing from unseeded or

@@ -127,7 +127,7 @@ def _bench_policy_updates(repeats: int, seed: int) -> Dict[str, float]:
             "eagle", graph, env.num_devices,
             num_groups=32, placer_hidden=64, seed=seed, topology=topo,
         )
-        backend = make_backend(env, seed=seed)
+        backend = make_backend(env)
         search = PlacementSearch(agent, env, "ppo", config, backend=backend)
         try:
             start = time.perf_counter()

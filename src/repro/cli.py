@@ -30,7 +30,7 @@ __all__ = ["main", "build_parser"]
 #: are recorded in every engine checkpoint (under ``meta["cli"]``) and
 #: restored by ``--resume`` so a resumed search continues the *original*
 #: configuration even if the resuming command line differs.  Operational
-#: flags (--workers, --remote, --metrics, ...) deliberately stay live.
+#: flags (--remote, --metrics, --memo-path, ...) deliberately stay live.
 _RESUME_KEYS = (
     "model", "agent", "algorithm", "samples", "groups", "hidden", "seed",
     "gpus", "gpu_mem", "no_cache",
@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-for-bit identical to the uninterrupted run",
     )
     p.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="shard each minibatch over N simulator processes (1 = in-process)",
-    )
-    p.add_argument(
         "--no-cache", action="store_true",
         help="disable memoisation of repeated placements (the default backend "
              "caches the deterministic simulator outcome; noise and env-clock "
@@ -142,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--remote", default=None, metavar="HOST:PORT",
         help="evaluate placements against a running `repro serve` instance "
              "instead of simulating in-process (takes precedence over "
-             "--workers/--no-cache; network failures are retried and "
+             "--no-cache; network failures are retried and "
              "quarantined by the evaluation policy)",
     )
     p.add_argument(
@@ -453,9 +449,9 @@ def cmd_place(args) -> int:
         if not args.checkpoint:
             args.checkpoint = args.resume
 
-    if args.memo_path and (args.remote or args.workers > 1 or args.no_cache):
+    if args.memo_path and (args.remote or args.no_cache):
         print("error: --memo-path needs the default cached backend "
-              "(no --remote/--workers/--no-cache)", file=sys.stderr)
+              "(no --remote/--no-cache)", file=sys.stderr)
         return 2
 
     graph, env = _make_env(args)
@@ -478,14 +474,11 @@ def cmd_place(args) -> int:
         # Network failures must quarantine, not abort the search.
         policy = EvaluationPolicy(max_retries=args.max_retries)
     backend = make_backend(
-        env, workers=args.workers, cache=not args.no_cache, seed=args.seed,
-        fault_plan=plan, remote=args.remote, remote_timeout=args.remote_timeout,
+        env, cache=not args.no_cache, fault_plan=plan,
+        remote=args.remote, remote_timeout=args.remote_timeout,
     )
     # A fault plan wraps the backend; the memo and the remote client sit inside.
     inner = backend.inner if isinstance(backend, FaultInjectingBackend) else backend
-    if args.memo_path and isinstance(inner, MemoBackend) and os.path.exists(args.memo_path):
-        loaded = inner.load(args.memo_path)
-        print(f"memo cache: {loaded} raw outcomes loaded from {args.memo_path}")
     callbacks = [ProgressPrinter(interval=50, total=args.samples)]
     exporter = None
     if args.metrics:
@@ -504,6 +497,10 @@ def cmd_place(args) -> int:
             restore_engine(search.engine, resume_state)
             print(f"resumed from {args.resume} at sample "
                   f"{search.engine.num_samples}/{args.samples}")
+        # After the restore, which replaces the memo with the checkpoint's.
+        if args.memo_path and isinstance(inner, MemoBackend) and os.path.exists(args.memo_path):
+            loaded = inner.load(args.memo_path)
+            print(f"memo cache: {loaded} raw outcomes loaded from {args.memo_path}")
         result = search.run(callbacks=callbacks)
         if args.remote:
             remote_stats = inner.remote_stats()
@@ -525,9 +522,6 @@ def cmd_place(args) -> int:
         rate = remote_stats.get("memo_hit_rate", 0.0)
         print(f"  remote cache: {hits} hits / {misses} misses on the server "
               f"({rate:.0%} shared across all its clients)")
-    if args.workers > 1 and not args.remote:
-        print(f"  parallel: {args.workers} workers, "
-              f"{int(backend.stats()['dispatched'])} simulations sharded")
     if policy is not None:
         print(f"  faults: {result.num_faults} observed, {result.num_retries} retried, "
               f"{result.num_quarantined} quarantined "

@@ -10,7 +10,7 @@ The historical ``PlacementSearch.run`` monolith is decomposed into
 * :class:`EntropyAnnealer` — linear entropy-coefficient schedule (explore
   early, commit late);
 * an :class:`~repro.sim.backends.EvaluationBackend` that measures whole
-  minibatches (serial, memoized, or multiprocess);
+  minibatches (serial, memoized, or remote);
 * an optional :class:`EvaluationPolicy` — bounded retries with exponential
   backoff, per-evaluation timeouts, corruption rejection, and quarantine of
   placements whose measurements keep failing (graceful degradation under a

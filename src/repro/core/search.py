@@ -10,7 +10,7 @@ The loop runs until a sample budget or a simulated environment-time budget
 :class:`PlacementSearch` is the stable front door; the actual loop lives in
 :class:`repro.core.engine.SearchEngine`, decomposed into budget/best/reward/
 annealing components, a pluggable :class:`repro.sim.backends
-.EvaluationBackend` (serial, memoized, or multiprocess), and a
+.EvaluationBackend` (serial, memoized, or remote), and a
 :class:`repro.core.events.SearchCallback` event layer.  The per-sample
 history (environment time, measured time, best-so-far) is recorded by a
 :class:`repro.core.events.HistoryRecorder` observer for the training-process

@@ -36,7 +36,7 @@ CLI: ``repro serve`` runs a server (``--multi-tenant`` hosts many spaces),
 §8, §12 and §12.1.
 """
 
-from .protocol import MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, HandshakeError, ProtocolError
+from .protocol import PROTOCOL_VERSION, HandshakeError, ProtocolError
 from .server import MeasurementServer
 from .client import RemoteBackend
 from .health import HealthMonitor, StandbyMirror
@@ -48,7 +48,6 @@ from .tenancy import SpaceLoading, SpaceRegistry, SpaceSpec, TenantSpace
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "ProtocolError",
     "HandshakeError",
     "MeasurementServer",

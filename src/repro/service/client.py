@@ -26,7 +26,7 @@ protocol-version / fingerprint mismatch    :class:`HandshakeError` (no retry)
 
 A handshake rejection is deliberately **not** a fault: a client measuring
 a different graph would never succeed on retry, so it raises immediately
-instead of burning the policy's retry budget.  v3 servers attach a
+instead of burning the policy's retry budget.  Servers attach a
 structured code (``version_range`` / ``unknown_fingerprint`` /
 ``space_loading``) that surfaces verbatim as ``HandshakeError.code``.
 ``space_loading`` is the one transient code — another connection or a
@@ -41,8 +41,8 @@ No raw outcome is committed until the *whole* batch has arrived: a
 connection that dies halfway through leaves the local environment's clock
 and RNG untouched, so the retried batch replays cleanly.
 
-Reconnect and replay (protocol v2)
-----------------------------------
+Reconnect and replay
+--------------------
 
 A connection that breaks *mid-RPC* — after a successful handshake — is
 retried before any fault reaches the policy: the backend backs off with
@@ -70,12 +70,7 @@ from ..sim.environment import Measurement, PlacementEnvironment, RawOutcome
 from ..sim.faults import EvaluationFault
 from ..graph.fingerprint import placement_space_fingerprint
 from . import protocol
-from .protocol import (
-    MIN_PROTOCOL_VERSION,
-    PROTOCOL_VERSION,
-    HandshakeError,
-    ProtocolError,
-)
+from .protocol import PROTOCOL_VERSION, HandshakeError, ProtocolError
 
 __all__ = ["RemoteBackend", "migrate_space_request"]
 
@@ -134,12 +129,7 @@ class _Connection:
             code = reply.get("code")
             self.close()
             raise HandshakeError(refusal, code=code if isinstance(code, str) else None)
-        self.server_info = reply.get("server", {})
-        #: protocol version both sides agreed on (1 for a v1 server).
-        self.version = self.server_info.get("version", 1)
-        if not isinstance(self.version, int):
-            self.version = 1
-        #: server-side session id (None from a v1 server).
+        #: server-side session id (validated by ``RemoteBackend._dial``).
         self.session = reply.get("session")
 
     def send(self, message: dict) -> None:
@@ -264,7 +254,7 @@ class RemoteBackend:
         hello = {
             "op": "hello",
             "version": PROTOCOL_VERSION,
-            "min_version": MIN_PROTOCOL_VERSION,
+            "min_version": PROTOCOL_VERSION,
             "fingerprint": self.fingerprint,
         }
         if self.offer_space:
@@ -305,6 +295,11 @@ class RemoteBackend:
                     kind="crash",
                 ) from None
         assert conn is not None
+        if not isinstance(conn.session, str):
+            # Outside the fault translation above: a server that opens no
+            # session cannot replay, and retrying would meet the same server.
+            conn.close()
+            raise ProtocolError(f"hello reply carries no session id: {conn.session!r}")
         self.num_reconnects += 1
         self._attach_session(conn)
         return conn
@@ -318,8 +313,6 @@ class RemoteBackend:
         server restarted or reaped us — adopt the fresh session instead;
         retention is gone, so interrupted batches simply re-evaluate.
         """
-        if conn.version < 2 or conn.session is None:
-            return
         if self._session is None or self._session == conn.session:
             self._session = conn.session
             return
@@ -429,9 +422,8 @@ class RemoteBackend:
         request = {
             "op": "evaluate_batch",
             "placements": protocol.encode_placements(placements),
+            "batch": batch_id,
         }
-        if conn.version >= 2:
-            request["batch"] = batch_id
         try:
             reply = conn.request(request)
             if not reply.get("ok"):
@@ -560,34 +552,6 @@ class RemoteBackend:
         }
 
     # -------------------------------------------------------------- #
-    def evaluate_one(self, placement: np.ndarray) -> Measurement:
-        """One scalar ``evaluate`` RPC, committed locally.
-
-        The streaming ``evaluate_batch`` path is what searches use; this
-        is the protocol's scalar op for probes and tooling.  Server-side
-        cache hits count into ``num_remote_cached`` exactly like batched
-        ones.
-        """
-        conn = self._borrow()
-        try:
-            reply = conn.request(
-                {
-                    "op": "evaluate",
-                    "placement": protocol.encode_placements([placement])[0],
-                }
-            )
-        except _TRANSPORT_ERRORS as exc:
-            conn.close()
-            raise self._fault_from(exc) from None
-        if not reply.get("ok"):
-            conn.close()
-            raise self._server_error(reply)
-        self._release(conn)
-        if reply.get("cached"):
-            self.num_remote_cached += 1
-        self.num_requests += 1
-        return self.environment.commit(protocol.decode_raw(reply.get("raw")))
-
     def remote_spaces(self) -> List[dict]:
         """Per-tenant stats for every space the server hosts (``spaces`` op)."""
         conn = self._borrow()

@@ -7,19 +7,16 @@ client and a captured session is human-readable.
 
 Session layout::
 
-    client → server   {"op": "hello", "version": 3, "min_version": 1,
+    client → server   {"op": "hello", "version": 4, "min_version": 4,
                        "fingerprint": "...", "space": {...}}   # space optional
     server → client   {"ok": true, "server": {...}, "session": "s1"}
-                      # or error (+ "code" since v3) + close
+                      # or error + "code" + close
 
     client → server   {"op": "ping"}
     server → client   {"ok": true, "state": "serving"}       # or "draining"
 
     client → server   {"op": "resume", "session": "s1"}
     server → client   {"ok": true, "session": "s1", "retained": [4, 5]}
-
-    client → server   {"op": "evaluate", "placement": [...]}
-    server → client   {"ok": true, "raw": {...}, "cached": false}
 
     client → server   {"op": "evaluate_batch", "placements": [[...], ...],
                        "batch": 5}
@@ -62,7 +59,7 @@ The handshake pins the *measurement space*: the client sends the
 :func:`~repro.graph.fingerprint.placement_space_fingerprint` of its
 graph + topology + cost model and the server refuses the connection unless
 it hosts that space — a raw outcome is only meaningful to a client that
-would have computed the identical one locally.  Since v3 a multi-tenant
+would have computed the identical one locally.  A multi-tenant
 server hosts *many* spaces (see :mod:`repro.service.tenancy`): the
 handshake resolves the fingerprint against the space registry, lazily
 loading persisted specs, and may instead *adopt* a new space from the
@@ -70,28 +67,29 @@ serialized ``space`` spec the client offers.  Refusals carry a structured
 ``code`` alongside the human-readable ``error``:
 
 ``version_range``
-    The peers' ``[min, max]`` version ranges are disjoint.
+    The client's ``[min_version, version]`` range does not contain
+    :data:`PROTOCOL_VERSION`.
 ``unknown_fingerprint``
     The server does not host the space and no adoptable spec was offered.
 ``space_loading``
     Another connection is materialising the space right now — the one
     retryable refusal (a client may redial after a short pause).
 
-Version negotiation (v2+): the client offers the range
-``[min_version, version]`` it can speak; the server answers with
-``min(server's max, client's max)`` in ``server["version"]`` provided the
-result is acceptable to both sides' minima, and refuses the handshake
-otherwise.  A v1 client omits ``min_version`` (treated as its ``version``)
-and ignores the extra reply fields, so v1 sessions interoperate unchanged.
+Versioning: a server speaks exactly :data:`PROTOCOL_VERSION`.  The
+client offers the range ``[min_version, version]`` it can speak; the
+server accepts the handshake only if that range contains its version,
+which it echoes in ``server["version"]``.  Every client of this build
+offers ``[PROTOCOL_VERSION, PROTOCOL_VERSION]``.
 
-Sessions and replay (v2): every handshake creates a server-side *session*
+Sessions and replay: every handshake creates a server-side *session*
 (id in the hello reply).  The server retains the results of recently
 completed ``evaluate_batch`` calls per session, keyed by the
-client-monotonic ``batch`` id.  A client that loses its connection
-mid-batch reconnects, re-attaches with ``resume``, and re-sends the same
-``batch`` — the server replays retained ticket results (and attaches to
-still-running simulations) instead of re-simulating, making evaluation
-at-most-once across connection failures.
+client-monotonic ``batch`` id that every ``evaluate_batch`` carries.  A
+client that loses its connection mid-batch reconnects, re-attaches with
+``resume``, and re-sends the same ``batch`` — the server replays
+retained ticket results (and attaches to still-running simulations)
+instead of re-simulating, making evaluation at-most-once across
+connection failures.
 
 Only *raw* outcomes cross the wire (:class:`~repro.sim.environment.RawOutcome`:
 the noiseless makespan or the OOM detail).  Measurement noise and the
@@ -112,7 +110,6 @@ from ..sim.environment import RawOutcome
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "MIN_PROTOCOL_VERSION",
     "MESSAGE_SCHEMA",
     "ADMIN_SCHEMA",
     "NESTED_FIELDS",
@@ -129,16 +126,12 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible change to the message shapes above.  v2 adds
-#: version negotiation, sessions (``ping``/``resume``), batch-result
-#: retention/replay, and the backpressure/drain error kinds.  v3 adds
-#: multi-tenancy: the ``space`` spec offer in ``hello``, structured
-#: handshake rejection ``code``s, and the ``spaces`` op.
-PROTOCOL_VERSION = 3
-
-#: Oldest protocol version this build still speaks.  Negotiation picks the
-#: highest version inside both peers' ``[min, max]`` ranges and refuses the
-#: handshake when the ranges are disjoint.
-MIN_PROTOCOL_VERSION = 1
+#: sessions (``ping``/``resume``), batch-result retention/replay, and the
+#: backpressure/drain error kinds.  v3 adds multi-tenancy: the ``space``
+#: spec offer in ``hello``, structured handshake rejection ``code``s, and
+#: the ``spaces`` op.  v4 removes the scalar ``evaluate`` op and makes the
+#: ``batch`` id of ``evaluate_batch`` mandatory.
+PROTOCOL_VERSION = 4
 
 #: Cap on one serialised message (a placement line for a ~100k-op graph is
 #: well under this); keeps a garbage peer from ballooning server memory.
@@ -162,10 +155,6 @@ MESSAGE_SCHEMA = {
     "resume": {
         "request": ("op", "session"),
         "response": ("ok", "session", "retained", "error", "kind"),
-    },
-    "evaluate": {
-        "request": ("op", "placement"),
-        "response": ("ok", "raw", "cached", "error", "kind"),
     },
     "evaluate_batch": {
         "request": ("op", "placements", "batch"),
@@ -225,7 +214,7 @@ ADMIN_SCHEMA = {
 #: but never as top-level message fields of their own.
 NESTED_FIELDS = {"message", "kind", "version", "graph", "num_ops", "num_devices", "workers"}
 
-#: The structured rejection codes a refused ``hello`` may carry (v3).
+#: The structured rejection codes a refused ``hello`` may carry.
 HANDSHAKE_CODES = ("version_range", "unknown_fingerprint", "space_loading")
 
 
@@ -241,7 +230,7 @@ class HandshakeError(ProtocolError):
     (``space_loading`` is the one transient code, but redialling is a
     caller decision, not backend policy).  ``code`` carries the server's
     structured rejection code verbatim — one of :data:`HANDSHAKE_CODES`,
-    or ``None`` when a pre-v3 server refused without one.
+    or ``None`` when the refusal carried none.
     """
 
     def __init__(self, text: str, code: Optional[str] = None) -> None:

@@ -8,7 +8,7 @@ precomputed cost tables are per-worker, so workers never contend), and
 serves *raw* outcomes over the newline-delimited JSON protocol of
 :mod:`repro.service.protocol`.  A classic single-tenant server is just
 the registry seeded with one space built from the ``environment``
-argument; ``multi_tenant=True`` additionally adopts spaces offered in v3
+argument; ``multi_tenant=True`` additionally adopts spaces offered in
 handshakes and lazily loads persisted specs from ``spaces_dir``.
 
 Three properties make the fleet shareable:
@@ -36,8 +36,8 @@ Three properties make the fleet shareable:
 then one result line streams back per ticket *in completion order* — a
 slow placement does not convoy its siblings through the worker pool.
 
-Self-healing and durability (protocol v2/v3)
---------------------------------------------
+Self-healing and durability
+---------------------------
 
 The server is built to survive its clients, its own workers, and — given
 a ``spaces_dir`` — its own process:
@@ -74,7 +74,6 @@ import socketserver
 import threading
 import time
 from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import MetricsExporter
@@ -85,7 +84,7 @@ from ..sim.simulator import Simulator
 from . import protocol
 from .client import migrate_space_request
 from .pool import PoolBusy, WorkerPool
-from .protocol import MIN_PROTOCOL_VERSION, PROTOCOL_VERSION, ProtocolError
+from .protocol import PROTOCOL_VERSION, ProtocolError
 from .sessions import BatchRecord, Session
 from .tenancy import SpaceLoading, SpaceRegistry, SpaceSpec, TenantSpace
 
@@ -141,7 +140,6 @@ class _Handler(socketserver.StreamRequestHandler):
         "hello": "_op_hello",
         "ping": "_op_ping",
         "resume": "_op_resume",
-        "evaluate": "_op_evaluate",
         "evaluate_batch": "_op_evaluate_batch",
         "stats": "_op_stats",
         "spaces": "_op_spaces",
@@ -154,7 +152,6 @@ class _Handler(socketserver.StreamRequestHandler):
         self.service = self.server.service
         self.session: Optional[Session] = None
         self.space: Optional[TenantSpace] = None
-        self.version = PROTOCOL_VERSION
         self.service._register_connection(self.connection)
 
     def finish(self) -> None:
@@ -219,18 +216,16 @@ class _Handler(socketserver.StreamRequestHandler):
             return False
         service = self.service
         version = request.get("version")
-        # A v1 client sends no min_version: it speaks exactly its version.
-        min_version = request.get("min_version", version)
-        negotiated = None
-        if isinstance(version, int) and isinstance(min_version, int):
-            candidate = min(PROTOCOL_VERSION, version)
-            if candidate >= max(MIN_PROTOCOL_VERSION, min_version):
-                negotiated = candidate
-        if negotiated is None:
+        min_version = request.get("min_version")
+        if not (
+            isinstance(version, int)
+            and isinstance(min_version, int)
+            and min_version <= PROTOCOL_VERSION <= version
+        ):
             self._refuse_handshake(
                 f"protocol version mismatch: client speaks "
                 f"[{min_version!r}, {version!r}], server speaks "
-                f"[{MIN_PROTOCOL_VERSION}, {PROTOCOL_VERSION}]",
+                f"{PROTOCOL_VERSION}",
                 "version_range",
             )
             return False
@@ -252,7 +247,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 "unknown_fingerprint",
             )
             return False
-        self.version = negotiated
         self.space = space
         service._bind_connection_space(self.connection, space.fingerprint)
         now = service.clock()
@@ -262,7 +256,7 @@ class _Handler(socketserver.StreamRequestHandler):
             {
                 "ok": True,
                 "server": {
-                    "version": negotiated,
+                    "version": PROTOCOL_VERSION,
                     "graph": space.environment.graph.name,
                     "num_ops": space.environment.graph.num_ops,
                     "num_devices": space.environment.num_devices,
@@ -325,47 +319,6 @@ class _Handler(socketserver.StreamRequestHandler):
                 "retained": session.retained_batches(),
             }
         )
-        return True
-
-    def _op_evaluate(self, request: Dict[str, Any]) -> bool:
-        service = self.service
-        space = self.space
-        assert space is not None
-        if service.draining.is_set():
-            self._reply(
-                protocol.error_message(
-                    "server is draining and accepts no new work",
-                    kind="draining",
-                )
-            )
-            return True
-        try:
-            placement = protocol.decode_placement(
-                request.get("placement"), space.environment.graph.num_ops
-            )
-        except (ProtocolError, TypeError, ValueError) as exc:
-            self._reply(protocol.error_message(f"bad placement: {exc}"))
-            return True
-        try:
-            raw, cached = service._raw_outcome(space, placement)
-        except PoolBusy as exc:
-            service.metrics.inc("repro_service_busy_total")
-            self._reply(protocol.error_message(str(exc), kind="busy"))
-            return True
-        except FutureTimeoutError:
-            service.metrics.inc("repro_service_deadline_total")
-            self._reply(
-                protocol.error_message(
-                    "result not ready within the server's request deadline",
-                    kind="deadline",
-                )
-            )
-            return True
-        except Exception as exc:  # worker failure → client-side fault
-            service.metrics.inc("repro_service_worker_errors_total")
-            self._reply(protocol.error_message(str(exc), kind="crash"))
-            return True
-        self._reply({"ok": True, "raw": protocol.encode_raw(raw), "cached": cached})
         return True
 
     def _op_stats(self, request: Dict[str, Any]) -> bool:
@@ -525,29 +478,24 @@ class _Handler(socketserver.StreamRequestHandler):
             self._reply(protocol.error_message(f"bad placement: {exc}"))
             return True
         batch_id = request.get("batch")
-        if batch_id is not None and not isinstance(batch_id, int):
+        if not isinstance(batch_id, int):
             self._reply(protocol.error_message("batch must be an integer"))
             return True
-        # v2 clients tag batches with a session-monotonic id: the batch is
-        # retained on the session so a reconnect can replay it.  Untagged
-        # (v1) batches get a connection-local record, never retained.
-        record: Optional[BatchRecord] = None
-        created = True
-        if batch_id is not None and self.session is not None:
-            record, created = self.session.get_or_add(
-                batch_id, len(decoded), _placements_digest(decoded)
-            )
+        # Batches carry a session-monotonic id: the batch is retained on
+        # the session so a reconnect can replay it.
+        session = self.session
+        assert session is not None
+        record, created = session.get_or_add(
+            batch_id, len(decoded), _placements_digest(decoded)
+        )
         if service.draining.is_set() and created:
-            if record is not None and self.session is not None:
-                self.session.discard(batch_id)
+            session.discard(batch_id)
             self._reply(
                 protocol.error_message(
                     "server is draining and accepts no new work", kind="draining"
                 )
             )
             return True
-        if record is None:
-            record = BatchRecord(-1, len(decoded), "")
         # Tickets already resolved before this request attach as replays.
         already = {} if created else record.snapshot()
         pending: List[Tuple[int, Any]] = []
@@ -570,8 +518,8 @@ class _Handler(socketserver.StreamRequestHandler):
             try:
                 self._submit_into(space, record, pending)
             except PoolBusy as exc:
-                if created and batch_id is not None and self.session is not None:
-                    self.session.discard(batch_id)
+                if created:
+                    session.discard(batch_id)
                 service.metrics.inc("repro_service_busy_total")
                 self._reply(protocol.error_message(str(exc), kind="busy"))
                 return True
@@ -779,7 +727,7 @@ class MeasurementServer:
         and deadlines deterministically).
     multi_tenant:
         Accept handshakes for spaces this server does not host yet, by
-        adopting the serialized spec a v3 client offers in ``hello``.
+        adopting the serialized spec a client offers in ``hello``.
     spaces_dir:
         Durability directory: specs persist as ``<fp>.space.json`` (lazily
         loaded on handshake), per-space sessions + memo as
@@ -965,11 +913,10 @@ class MeasurementServer:
     def _maybe_persist(self, space: TenantSpace, record: BatchRecord) -> None:
         """Persist a space's durable state once a retained batch completes.
 
-        Connection-local (v1, ``batch_id=-1``) records never persist; the
-        write is an atomic whole-file replace, so concurrent completions
-        are safe (last writer wins with a superset of results).
+        The write is an atomic whole-file replace, so concurrent
+        completions are safe (last writer wins with a superset of results).
         """
-        if self._durable and record.batch_id >= 0 and record.complete:
+        if self._durable and record.complete:
             self.registry.persist(space)
 
     def _worker_batch_simulator(self, space: TenantSpace) -> BatchSimulator:
@@ -1055,43 +1002,6 @@ class MeasurementServer:
                 )
         for _, _, adapter in leaders:
             adapter.set_exception(exc)
-
-    def _raw_outcome(self, space: TenantSpace, placement):
-        """Per-space cache lookup, falling back to a pool worker; blocking.
-
-        Singleflighted like the batch path: if this placement is already
-        simulating on behalf of another request, wait on that future
-        instead of re-submitting."""
-        key = (space.fingerprint, _placement_key(placement))
-        adapter: Optional[Future] = None
-        with self._memo_lock:
-            raw = space.memo.lookup(placement)
-            if raw is None:
-                inflight = self._pending_sims.get(key)
-                if inflight is None:
-                    adapter = Future()
-                    self._pending_sims[key] = adapter
-        if raw is not None:
-            return raw, True
-        if adapter is None:
-            return inflight.result(timeout=self.request_deadline), False
-        if not space.try_acquire(1):
-            self.metrics.inc("repro_service_quota_rejected_total")
-            busy = PoolBusy(
-                f"tenant in-flight quota exhausted ({space.quota} lanes); "
-                "retry after in-flight work completes"
-            )
-            self._abandon_pending(space, [(0, placement, adapter)], busy)
-            raise busy
-        try:
-            future = self._pool.submit(self._simulate_chunk, space, [placement])
-        except BaseException as exc:
-            space.release(1)
-            self._abandon_pending(space, [(0, placement, adapter)], exc)
-            raise
-        self._chain_chunk(space, [placement], [adapter], future)
-        future.add_done_callback(lambda _done: space.release(1))
-        return adapter.result(timeout=self.request_deadline), False
 
     # -------------------------------------------------------------- #
     def stats(self) -> Dict[str, float]:

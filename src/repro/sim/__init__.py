@@ -9,7 +9,6 @@ from .backends import (
     EvaluationBackend,
     SerialBackend,
     MemoBackend,
-    ParallelBackend,
     make_backend,
 )
 from .faults import EvaluationFault, FaultPlan, FaultInjectingBackend
@@ -38,7 +37,6 @@ __all__ = [
     "EvaluationBackend",
     "SerialBackend",
     "MemoBackend",
-    "ParallelBackend",
     "make_backend",
     "EvaluationFault",
     "FaultPlan",

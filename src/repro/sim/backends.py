@@ -6,7 +6,8 @@ the interaction-time papers (Mirhoseini et al. '17, GDP '19) exploit with
 distributed measurement, and the one every future perf/robustness feature
 (async evaluation, remote measurement service, fault injection) plugs into.
 
-Three implementations ship today:
+Two in-process implementations ship here (the measurement service's
+:class:`~repro.service.client.RemoteBackend` is the remote one):
 
 :class:`SerialBackend`
     One in-process simulation per placement — bit-for-bit the historical
@@ -20,28 +21,15 @@ Three implementations ship today:
     environment-clock charge.  Results are therefore *identical* to
     :class:`SerialBackend` on the same seed — only faster.
 
-:class:`ParallelBackend`
-    Shards a minibatch across a multiprocessing pool.  Workers run only the
-    deterministic simulation; the coordinator commits the raw outcomes in
-    submission order against the environment's own RNG stream, so results
-    match :class:`SerialBackend` bit-for-bit regardless of worker count or
-    scheduling.  Each worker additionally owns a private
-    ``numpy.random.Generator`` spawned from a :class:`numpy.random.SeedSequence`
-    — worker-local stochastic extensions (fault injection, perturbed cost
-    models) stay deterministic per worker without touching the shared stream.
-
-A fourth, :class:`~repro.sim.faults.FaultInjectingBackend`, wraps any of the
-above and injects seeded crashes, stragglers and corrupted measurements for
+A third, :class:`~repro.sim.faults.FaultInjectingBackend`, wraps either of
+them and injects seeded crashes, stragglers and corrupted measurements for
 chaos-testing the engine's retry/quarantine policy (see
 :mod:`repro.sim.faults`).
 """
 
 from __future__ import annotations
 
-import atexit
 import json
-import multiprocessing
-import os
 import warnings
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, runtime_checkable
@@ -50,8 +38,7 @@ import numpy as np
 
 from ..ioutil import atomic_write_text
 from .batch import SWEEP_MIN_LANES, BatchSimulator
-from .environment import Measurement, PlacementEnvironment, RawOutcome, raw_outcome
-from .simulator import Simulator
+from .environment import Measurement, PlacementEnvironment, RawOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultPlan
@@ -60,7 +47,6 @@ __all__ = [
     "EvaluationBackend",
     "SerialBackend",
     "MemoBackend",
-    "ParallelBackend",
     "make_backend",
 ]
 
@@ -81,7 +67,7 @@ class EvaluationBackend(Protocol):
         ...
 
     def close(self) -> None:
-        """Release any held resources (pools, sockets).  Idempotent."""
+        """Release any held resources (sockets).  Idempotent."""
         ...
 
     def stats(self) -> Dict[str, float]:
@@ -128,9 +114,9 @@ class MemoBackend:
     environment-clock charges remain per-evaluation and the Figs. 5–7
     accounting is unchanged; a hit merely skips the simulator.
 
-    ``max_entries`` bounds the cache LRU-style (unbounded by default — a raw
-    outcome is a few floats, and a search touches at most ``max_samples``
-    distinct placements).
+    ``max_entries`` bounds the cache LRU-style (unbounded by default — a
+    search touches at most ``max_samples`` distinct placements, and each
+    entry costs its placement key, 8 bytes per op, plus a few floats).
 
     The cache table can be spilled to disk with :meth:`save` and revived in
     another process with :meth:`load`.  Persisted tables are keyed by the
@@ -261,17 +247,20 @@ class MemoBackend:
             entries.append([key.hex(), raw.base_time, oom])
         return entries
 
-    def _merge_entries(self, entries: Sequence[Sequence]) -> int:
-        loaded = 0
+    @staticmethod
+    def _decode_entries(entries: Sequence[Sequence]) -> Dict[bytes, RawOutcome]:
+        decoded: Dict[bytes, RawOutcome] = {}
         for key_hex, base_time, oom in entries:
             oom_detail = None
             if oom is not None:
                 oom_detail = {int(d): (float(a), float(b)) for d, a, b in oom}
-            self._store[bytes.fromhex(key_hex)] = RawOutcome(base_time, oom_detail)
-            loaded += 1
+            decoded[bytes.fromhex(key_hex)] = RawOutcome(base_time, oom_detail)
+        return decoded
+
+    def _merge(self, decoded: Dict[bytes, RawOutcome]) -> None:
+        self._store.update(decoded)
         while self.max_entries is not None and len(self._store) > self.max_entries:
             self._store.popitem(last=False)
-        return loaded
 
     def save(self, path: str) -> None:
         """Write the raw-outcome table to ``path`` (JSON, fingerprint-keyed).
@@ -295,8 +284,9 @@ class MemoBackend:
         caches must never leak raw outcomes across graphs or topologies.
         A file that cannot be *parsed* (truncated or garbled by an unclean
         shutdown predating atomic saves) is not an error: it warns and
-        loads nothing, so the run starts with a cold cache instead of
-        crashing.
+        loads nothing, so the run keeps the entries it already holds
+        instead of crashing.  The load is all-or-nothing: every entry is
+        decoded before any is merged.
         """
         with open(path) as fh:
             text = fh.read()
@@ -309,7 +299,7 @@ class MemoBackend:
             entries = payload.get("entries", [])
         except ValueError as exc:  # includes json.JSONDecodeError
             warnings.warn(
-                f"memo cache {path!r} is corrupt ({exc}); starting fresh",
+                f"memo cache {path!r} is corrupt ({exc}); ignoring it",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -323,15 +313,16 @@ class MemoBackend:
                 f"{self.fingerprint!r})"
             )
         try:
-            return self._merge_entries(entries)
+            decoded = self._decode_entries(entries)
         except (TypeError, ValueError) as exc:
             warnings.warn(
-                f"memo cache {path!r} has corrupt entries ({exc}); starting fresh",
+                f"memo cache {path!r} has corrupt entries ({exc}); ignoring it",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            self._store.clear()
             return 0
+        self._merge(decoded)
+        return len(decoded)
 
     def state_dict(self) -> Dict:
         """Checkpoint form of the cache: entries plus hit/miss counters.
@@ -346,7 +337,7 @@ class MemoBackend:
 
     def load_state_dict(self, state: Dict) -> None:
         self._store.clear()
-        self._merge_entries(state["entries"])
+        self._merge(self._decode_entries(state["entries"]))
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
 
@@ -370,107 +361,9 @@ class MemoBackend:
         }
 
 
-# --------------------------------------------------------------------------- #
-# Worker-side state for ParallelBackend.  Each pool process builds its own
-# Simulator once (the graph never changes during a search) plus a private RNG
-# stream; tasks then ship only the placement array.
-_worker_simulator: Optional[Simulator] = None
-_worker_rng: Optional[np.random.Generator] = None
-
-
-def _parallel_worker_init(graph, topology, cost_model, base_seed, counter) -> None:
-    global _worker_simulator, _worker_rng
-    _worker_simulator = Simulator(graph, topology, cost_model)
-    with counter.get_lock():
-        worker_index = counter.value
-        counter.value += 1
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(worker_index,))
-    _worker_rng = np.random.default_rng(seq)
-
-
-def _parallel_worker_simulate(placement: np.ndarray) -> RawOutcome:
-    assert _worker_simulator is not None, "worker pool not initialised"
-    return raw_outcome(_worker_simulator, placement)
-
-
-class ParallelBackend:
-    """Shards a minibatch across a multiprocessing pool.
-
-    Workers run only the *deterministic* simulation and return
-    :class:`RawOutcome` objects; the coordinator commits them in submission
-    order, drawing measurement noise from the environment's single RNG
-    stream.  Hence results are bit-for-bit identical to
-    :class:`SerialBackend` on the same seed, independent of ``workers`` and
-    of how the OS schedules them.
-
-    Per-worker RNG streams are spawned from ``SeedSequence(seed, spawn_key=
-    (worker_index,))`` for worker-local stochastic extensions; the base
-    measurement noise never comes from them.
-    """
-
-    def __init__(
-        self,
-        environment: PlacementEnvironment,
-        workers: Optional[int] = None,
-        *,
-        seed: int = 0,
-        chunksize: Optional[int] = None,
-    ) -> None:
-        self.environment = environment
-        self.workers = int(workers) if workers else (os.cpu_count() or 1)
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.chunksize = chunksize
-        self.num_batches = 0
-        self.num_dispatched = 0
-        ctx = multiprocessing.get_context()
-        counter = ctx.Value("i", 0)
-        sim = environment.simulator
-        self._pool = ctx.Pool(
-            self.workers,
-            initializer=_parallel_worker_init,
-            initargs=(sim.graph, sim.topology, sim.cost_model, seed, counter),
-        )
-        # A leaked pool would hang interpreter shutdown; closing twice is fine.
-        atexit.register(self.close)
-
-    def evaluate_batch(self, placements: Sequence[np.ndarray]) -> List[Measurement]:
-        if self._pool is None:
-            raise RuntimeError("ParallelBackend is closed")
-        arrays = [np.ascontiguousarray(p, dtype=np.int64) for p in placements]
-        chunksize = self.chunksize or max(1, len(arrays) // (2 * self.workers) or 1)
-        raws = self._pool.map(_parallel_worker_simulate, arrays, chunksize=chunksize)
-        self.num_batches += 1
-        self.num_dispatched += len(arrays)
-        return [self.environment.commit(raw) for raw in raws]
-
-    def close(self) -> None:
-        pool, self._pool = getattr(self, "_pool", None), None
-        if pool is not None:
-            pool.close()
-            pool.join()
-
-    def __enter__(self) -> "ParallelBackend":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        self.close()
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "workers": float(self.workers),
-            "batches": float(self.num_batches),
-            "dispatched": float(self.num_dispatched),
-        }
-
-
 def make_backend(
     environment: PlacementEnvironment,
     *,
-    workers: int = 0,
     cache: bool = True,
     seed: int = 0,
     fault_plan: Optional["FaultPlan"] = None,
@@ -482,15 +375,14 @@ def make_backend(
     ``remote="host:port"`` selects a
     :class:`~repro.service.client.RemoteBackend` talking to a
     :class:`~repro.service.server.MeasurementServer` (and takes precedence
-    over ``workers``/``cache``); the client offers its serialized
-    measurement space in the handshake, so a multi-tenant server adopts
-    tenants it has never seen while a single-tenant server still refuses
-    mismatched fingerprints.  ``workers > 1`` selects
-    :class:`ParallelBackend`; otherwise ``cache`` selects
-    :class:`MemoBackend` over :class:`SerialBackend`.  All of them produce
-    identical measurements on a fixed environment seed.  A ``fault_plan``
-    with any non-zero rate wraps the result in a
-    :class:`~repro.sim.faults.FaultInjectingBackend` (chaos testing).
+    over ``cache``); the client offers its serialized measurement space in
+    the handshake, so a multi-tenant server adopts tenants it has never
+    seen while a single-tenant server still refuses mismatched
+    fingerprints.  Otherwise ``cache`` selects :class:`MemoBackend` over
+    :class:`SerialBackend`.  All of them produce identical measurements on
+    a fixed environment seed.  A ``fault_plan`` with any non-zero rate
+    wraps the result in a :class:`~repro.sim.faults.FaultInjectingBackend`
+    (chaos testing).  ``seed`` is accepted for existing callers and unused.
 
     The in-process backends and the measurement server sweep a batch
     exactly when it has at least :data:`~repro.sim.batch.SWEEP_MIN_LANES`
@@ -503,8 +395,6 @@ def make_backend(
         backend: EvaluationBackend = RemoteBackend(
             environment, remote, timeout=remote_timeout, offer_space=True
         )
-    elif workers and workers > 1:
-        backend = ParallelBackend(environment, workers=workers, seed=seed)
     elif cache:
         backend = MemoBackend(environment)
     else:

@@ -95,8 +95,7 @@ def raw_outcome(
     """One scalar simulation as a :class:`RawOutcome`.
 
     The single place an :class:`OutOfMemoryError` becomes an OOM outcome:
-    the environment, the batch simulator's scalar side and the parallel
-    backend's workers all call it.
+    the environment and the batch simulator's scalar side both call it.
     """
     try:
         breakdown = simulator.simulate(placement)

@@ -213,13 +213,13 @@ class FaultInjectingBackend:
         out = []
         for i, placement in enumerate(placements):
             try:
-                out.append(self._evaluate_one(placement))
+                out.append(self._measure(placement))
             except EvaluationFault as fault:
                 fault.index = i
                 raise
         return out
 
-    def _evaluate_one(self, placement: np.ndarray) -> Measurement:
+    def _measure(self, placement: np.ndarray) -> Measurement:
         self.last_eval_latency = 0.0
         # Always draw all three fates so the fault stream depends only on
         # how many evaluations ran, never on earlier outcomes.

@@ -161,7 +161,7 @@ ACCEPTANCE_FIXTURES = [
     (
         "protocol-schema",
         "src/repro/service/fixture_proto.py",
-        'def request(p):\n    return {"op": "evaluate", "placement": p, "priority": 3}\n',
+        'def request(p):\n    return {"op": "evaluate_batch", "placements": p, "priority": 3}\n',
     ),
 ]
 
@@ -211,7 +211,7 @@ class TestAcceptanceFixtures:
         )
         write_fixture(
             tmp_path, "src/repro/service/fixture_proto.py",
-            'def request(p):\n    return {"op": "evaluate", "placement": p}\n',
+            'def request(p):\n    return {"op": "evaluate_batch", "placements": p}\n',
         )
         assert cli.main(["lint", str(tmp_path)]) == 0
 

@@ -36,7 +36,7 @@ class TestContractExtraction:
 
     def test_message_schema_extracted(self, contracts):
         assert set(contracts.message_schema) == {
-            "hello", "ping", "resume", "evaluate", "evaluate_batch",
+            "hello", "ping", "resume", "evaluate_batch",
             "stats", "spaces", "shutdown", "migrate_space",
         }
         assert "fingerprint" in contracts.request_fields["hello"]
@@ -166,7 +166,7 @@ class TestBackendProtocol:
 
 class TestProtocolSchema:
     def test_unknown_field_flagged(self, contracts):
-        src = 'def f(p):\n    return {"op": "evaluate", "placment": p}\n'
+        src = 'def f(p):\n    return {"op": "evaluate_batch", "placments": p}\n'
         assert rule_ids(lint_source(src, SERVICE_PATH, contracts)) == ["protocol-schema"]
 
     def test_unknown_op_flagged(self, contracts):
@@ -181,7 +181,7 @@ class TestProtocolSchema:
         src = (
             'def f(p, fp):\n'
             '    hello = {"op": "hello", "version": 1, "fingerprint": fp}\n'
-            '    return hello, {"op": "evaluate", "placement": p}\n'
+            '    return hello, {"op": "evaluate_batch", "placements": p}\n'
         )
         assert lint_source(src, SERVICE_PATH, contracts) == []
 

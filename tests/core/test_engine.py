@@ -31,7 +31,6 @@ from repro.sim import (
     FaultPlan,
     Measurement,
     MemoBackend,
-    ParallelBackend,
     PlacementEnvironment,
     SerialBackend,
     Topology,
@@ -98,13 +97,6 @@ class TestGoldenReproduction:
         assert_matches_golden(result)
         assert backend.misses == len(backend)
 
-    def test_parallel_backend_bit_for_bit(self):
-        _, env, agent, config = golden_scenario()
-        with ParallelBackend(env, workers=4, seed=0) as backend:
-            result = PlacementSearch(agent, env, "ppo", config, backend=backend).run()
-        assert_matches_golden(result)
-        assert backend.stats()["dispatched"] == 30.0
-
     def test_engine_api_directly(self):
         _, env, agent, config = golden_scenario()
         result = SearchEngine(agent, env, "ppo", config).run()
@@ -119,13 +111,6 @@ class TestGoldenReproduction:
         _, env, agent, config = golden_scenario()
         backend = FaultInjectingBackend(MemoBackend(env), FaultPlan())
         assert_matches_golden(PlacementSearch(agent, env, "ppo", config, backend=backend).run())
-
-    def test_fault_wrapper_zero_rate_parallel(self):
-        _, env, agent, config = golden_scenario()
-        with ParallelBackend(env, workers=2, seed=0) as inner:
-            backend = FaultInjectingBackend(inner, FaultPlan())
-            result = PlacementSearch(agent, env, "ppo", config, backend=backend).run()
-        assert_matches_golden(result)
 
     def test_policy_path_without_faults_is_bit_for_bit(self):
         """The resilient per-placement path must be semantics-preserving:
@@ -267,12 +252,7 @@ def chaos_search(
     env = PlacementEnvironment(graph, topo, seed=env_seed, setup_time=1.0)
     agent = PostAgent(graph, topo.num_devices, num_groups=6, seed=agent_seed)
     config = SearchConfig(max_samples=max_samples, minibatch_size=10)
-    if backend_kind == "serial":
-        inner = SerialBackend(env)
-    elif backend_kind == "memo":
-        inner = MemoBackend(env)
-    else:
-        inner = ParallelBackend(env, workers=2, seed=0)
+    inner = SerialBackend(env) if backend_kind == "serial" else MemoBackend(env)
     backend = FaultInjectingBackend(inner, plan or FaultPlan.chaos(0.3, seed=123))
     policy = policy or EvaluationPolicy(max_retries=2, max_step_time=60.0)
     try:
@@ -346,7 +326,7 @@ class TestChaosRuns:
     corruption) over every backend completes, quarantines rather than
     aborts, and its counters reproduce exactly under the same seed."""
 
-    @pytest.mark.parametrize("backend_kind", ["serial", "memo", "parallel"])
+    @pytest.mark.parametrize("backend_kind", ["serial", "memo"])
     def test_chaos_run_completes_and_reproduces(self, backend_kind):
         def fingerprint():
             result, backend = chaos_search(backend_kind=backend_kind)

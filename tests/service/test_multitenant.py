@@ -216,15 +216,17 @@ class TestGoldenEquivalence:
         finally:
             remote.close()
 
-    def test_evaluate_one_matches_serial(self, server):
+    def test_batch_of_one_matches_serial(self, server):
         remote_env, local_env = _tenant_env(seed=4), _tenant_env(seed=4)
         remote = RemoteBackend(remote_env, server.address, offer_space=True, timeout=10.0)
         serial = SerialBackend(local_env)
         try:
             placement = _placements(remote_env, 1, seed=2)[0]
-            got = remote.evaluate_one(placement)
-            want = serial.evaluate_batch([placement])[0]
+            [got] = remote.evaluate_batch([placement])
+            [want] = serial.evaluate_batch([placement])
             assert got.per_step_time == want.per_step_time
+            assert remote_env.env_time == local_env.env_time
+            assert remote.stats()["rpc_batches"] == 1.0
         finally:
             remote.close()
 

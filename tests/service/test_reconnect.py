@@ -41,7 +41,7 @@ def _backend(server, **kwargs):
 
 
 class _RawClient:
-    """A bare v2 protocol speaker for poking the server directly."""
+    """A bare protocol speaker for poking the server directly."""
 
     def __init__(self, server, fingerprint=None):
         host, port = server.address.rsplit(":", 1)
@@ -51,7 +51,7 @@ class _RawClient:
         reply = self.request({
             "op": "hello",
             "version": protocol.PROTOCOL_VERSION,
-            "min_version": protocol.MIN_PROTOCOL_VERSION,
+            "min_version": protocol.PROTOCOL_VERSION,
             "fingerprint": fingerprint or server.fingerprint,
         })
         assert reply["ok"], reply

@@ -297,32 +297,97 @@ class TestFaultTranslation:
 
 # ---------------------------------------------------------------------- #
 class TestHandshake:
+    @staticmethod
+    def _hello(server, version, min_version):
+        """A bare hello on a fresh socket; returns (socket, files, reply)."""
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+        protocol.write_message(wfile, {
+            "op": "hello", "version": version, "min_version": min_version,
+            "fingerprint": server.fingerprint,
+        })
+        return sock, (rfile, wfile), protocol.read_message(rfile)
+
     def test_protocol_version_mismatch_rejected(self, server, monkeypatch):
-        # A client whose whole version *range* is above the server's must
-        # be refused — negotiation only bridges overlapping ranges.
+        # A client whose whole version range is above the server's must
+        # be refused.
         from repro.service import client as client_mod
 
         monkeypatch.setattr(client_mod, "PROTOCOL_VERSION", 999)
-        monkeypatch.setattr(client_mod, "MIN_PROTOCOL_VERSION", 999)
-        with pytest.raises(HandshakeError, match="version mismatch"):
+        with pytest.raises(HandshakeError, match="version mismatch") as excinfo:
             RemoteBackend(_env(), server.address, timeout=5.0).evaluate_batch(
                 _placements(_env(), 1)
             )
+        assert excinfo.value.code == "version_range"
 
-    def test_version_ranges_negotiate_down(self, server, monkeypatch):
-        # A future client still speaking v1..v999 lands on the server's max.
-        from repro.service import client as client_mod
-        from repro.service.protocol import PROTOCOL_VERSION as SERVER_MAX
+    def test_version_ranges_negotiate_down(self, server):
+        # A range that contains the server's version lands on exactly it.
+        sock, _, reply = self._hello(server, 999, 1)
+        try:
+            assert reply["ok"] is True
+            assert reply["server"]["version"] == protocol.PROTOCOL_VERSION
+            assert isinstance(reply["session"], str)
+        finally:
+            sock.close()
 
-        monkeypatch.setattr(client_mod, "PROTOCOL_VERSION", 999)
+    @pytest.mark.parametrize("version, min_version", [(3, 1), (3, 3), (None, None)])
+    def test_older_or_rangeless_hello_refused(self, server, version, min_version):
+        sock, (rfile, _), reply = self._hello(server, version, min_version)
+        try:
+            assert reply["ok"] is False
+            assert reply["code"] == "version_range"
+            assert protocol.read_message(rfile) is None  # server hung up
+        finally:
+            sock.close()
+
+    def test_untagged_evaluate_batch_refused(self, server):
+        sock, (rfile, wfile), reply = self._hello(
+            server, protocol.PROTOCOL_VERSION, protocol.PROTOCOL_VERSION
+        )
+        try:
+            assert reply["ok"] is True
+            placements = protocol.encode_placements(_placements(_env(), 2))
+            for batch in (None, "7"):
+                request = {"op": "evaluate_batch", "placements": placements}
+                if batch is not None:
+                    request["batch"] = batch
+                protocol.write_message(wfile, request)
+                assert protocol.read_message(rfile) == {
+                    "ok": False, "error": "batch must be an integer", "kind": "protocol",
+                }
+            assert server.num_simulations == 0
+            protocol.write_message(wfile, {"op": "ping"})
+            assert protocol.read_message(rfile)["ok"] is True  # still served
+        finally:
+            sock.close()
+
+    def test_hello_reply_without_session_raises_protocol_error(self):
+        # A server that opens no session cannot replay: a misconfiguration,
+        # raised as-is rather than retried as an evaluation fault.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve_one_hello():
+            conn, _ = listener.accept()
+            with conn:
+                rfile, wfile = conn.makefile("rb"), conn.makefile("wb")
+                protocol.read_message(rfile)
+                protocol.write_message(
+                    wfile, {"ok": True, "server": {"version": protocol.PROTOCOL_VERSION}}
+                )
+                protocol.read_message(rfile)  # until the client hangs up
+
+        thread = threading.Thread(target=serve_one_hello, daemon=True)
+        thread.start()
         env = _env()
-        with RemoteBackend(env, server.address, timeout=5.0) as remote:
-            conn = remote._borrow()
-            try:
-                assert conn.version == SERVER_MAX
-                assert isinstance(conn.session, str)
-            finally:
-                conn.close()
+        address = f"127.0.0.1:{listener.getsockname()[1]}"
+        try:
+            with RemoteBackend(env, address, timeout=5.0) as remote:
+                with pytest.raises(ProtocolError, match="no session id") as excinfo:
+                    remote.evaluate_batch(_placements(env, 1))
+            assert not isinstance(excinfo.value, (HandshakeError, EvaluationFault))
+            thread.join(timeout=5.0)
+        finally:
+            listener.close()
 
     def test_fingerprint_mismatch_rejected(self, server):
         other_graph = build_random_layered(num_layers=6, width=5, seed=8)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.sim import (
     MemoBackend,
-    ParallelBackend,
     PlacementEnvironment,
     SerialBackend,
     Topology,
@@ -234,55 +233,11 @@ class TestMemoBackend:
         assert backend.stats() == {"hits": 1.0, "misses": 1.0, "hit_rate": 0.5, "entries": 1.0}
 
 
-class TestParallelBackend:
-    def test_matches_serial_bit_for_bit(self, layered_graph, topology):
-        serial = SerialBackend(_env(layered_graph, topology))
-        placements = _random_placements(layered_graph, topology, 12)
-        expected = serial.evaluate_batch(placements)
-        with ParallelBackend(_env(layered_graph, topology), workers=4) as backend:
-            got = backend.evaluate_batch(placements)
-        assert [m.per_step_time for m in got] == [m.per_step_time for m in expected]
-        assert [m.env_time_charged for m in got] == [m.env_time_charged for m in expected]
-
-    def test_preserves_order_with_mixed_oom(self, layered_graph):
-        env = _env(layered_graph, Topology.default_4gpu(num_gpus=2, gpu_memory_bytes=1 << 20))
-        gpu = env.topology.gpu_indices()[0]
-        cpu = env.topology.cpu_indices()[0]
-        oom = np.full(layered_graph.num_ops, gpu, dtype=np.int64)
-        ok = np.full(layered_graph.num_ops, cpu, dtype=np.int64)
-        with ParallelBackend(env, workers=2) as backend:
-            results = backend.evaluate_batch([oom, ok, oom, ok])
-        assert [m.valid for m in results] == [False, True, False, True]
-        assert env.num_oom == 2
-
-    def test_close_is_idempotent(self, layered_graph, topology):
-        backend = ParallelBackend(_env(layered_graph, topology), workers=2)
-        backend.close()
-        backend.close()
-        with pytest.raises(RuntimeError):
-            backend.evaluate_batch(_random_placements(layered_graph, topology, 1))
-
-    def test_stats_and_validation(self, layered_graph, topology):
-        with pytest.raises(ValueError):
-            ParallelBackend(_env(layered_graph, topology), workers=-1)
-        with ParallelBackend(_env(layered_graph, topology), workers=2) as backend:
-            backend.evaluate_batch(_random_placements(layered_graph, topology, 5))
-            stats = backend.stats()
-        assert stats["workers"] == 2.0
-        assert stats["batches"] == 1.0 and stats["dispatched"] == 5.0
-
-
 class TestMakeBackend:
     def test_selection(self, layered_graph, topology):
         env = _env(layered_graph, topology)
         assert isinstance(make_backend(env), MemoBackend)
         assert isinstance(make_backend(env, cache=False), SerialBackend)
-        parallel = make_backend(env, workers=2)
-        try:
-            assert isinstance(parallel, ParallelBackend)
-        finally:
-            parallel.close()
-        assert isinstance(make_backend(env, workers=1), MemoBackend)
 
 
 class TestFaultWrapperGoldenEquivalence:
@@ -295,14 +250,11 @@ class TestFaultWrapperGoldenEquivalence:
         env_plain, env_wrapped = _env(layered_graph, topology), _env(layered_graph, topology)
         if kind == "serial":
             plain, inner = SerialBackend(env_plain), SerialBackend(env_wrapped)
-        elif kind == "memo":
-            plain, inner = MemoBackend(env_plain), MemoBackend(env_wrapped)
         else:
-            plain = ParallelBackend(env_plain, workers=2, seed=0)
-            inner = ParallelBackend(env_wrapped, workers=2, seed=0)
+            plain, inner = MemoBackend(env_plain), MemoBackend(env_wrapped)
         return plain, FaultInjectingBackend(inner, FaultPlan())
 
-    @pytest.mark.parametrize("kind", ["serial", "memo", "parallel"])
+    @pytest.mark.parametrize("kind", ["serial", "memo"])
     def test_measurement_stream_identical(self, kind, layered_graph, topology):
         plain, wrapped = self._backend_pair(kind, layered_graph, topology)
         placements = _random_placements(layered_graph, topology, 8)
@@ -413,3 +365,26 @@ class TestMemoPersistence:
         reader = MemoBackend(_env(layered_graph, topology), max_entries=3)
         reader.load(path)
         assert len(reader) == 3
+
+    def test_corrupt_entries_load_nothing_and_keep_held_ones(
+        self, layered_graph, topology, tmp_path
+    ):
+        import json
+
+        writer = MemoBackend(_env(layered_graph, topology))
+        fresh = _random_placements(layered_graph, topology, 2, seed=1)
+        writer.evaluate_batch(fresh)
+        path = tmp_path / "memo.json"
+        writer.save(str(path))
+        payload = json.loads(path.read_text())
+        payload["entries"].append(["not-hex", 0.1, None])
+        path.write_text(json.dumps(payload))
+
+        reader = MemoBackend(_env(layered_graph, topology))
+        held = _random_placements(layered_graph, topology, 3)
+        reader.evaluate_batch(held)
+        with pytest.warns(RuntimeWarning, match="corrupt entries"):
+            assert reader.load(str(path)) == 0
+        assert len(reader) == 3
+        assert all(reader.lookup(p) is not None for p in held)
+        assert all(reader.lookup(p) is None for p in fresh)

@@ -84,9 +84,9 @@ class TestErrorPaths:
         assert fragment in err
         assert "Traceback" not in err
 
-    def test_workers_zero_rejected(self, capsys):
+    def test_zero_checkpoint_interval_rejected(self, capsys):
         self._expect_usage_error(
-            capsys, ["place", "--workers", "0"], "must be >= 1"
+            capsys, ["place", "--checkpoint-every", "0"], "must be >= 1"
         )
 
     def test_fault_rate_above_one_rejected(self, capsys):
@@ -144,6 +144,44 @@ class TestServiceCli:
         assert path.exists()
         assert main(argv) == 0
         assert "raw outcomes loaded from" in capsys.readouterr().out
+
+    def test_resume_keeps_the_memo_file_entries(self, tmp_path, capsys, monkeypatch):
+        """``--resume`` restores the checkpoint's memo; loading ``--memo-path``
+        must happen after that, or the file's entries are lost on save."""
+        import json
+
+        from repro.core.checkpoint import CheckpointCallback
+
+        memo = tmp_path / "memo.json"
+        ckpt = str(tmp_path / "ckpt.npz")
+        base = ["place", "--model", "inception_v3", "--agent", "post",
+                "--samples", "30", "--groups", "4"]
+
+        def keys():
+            return {entry[0] for entry in json.loads(memo.read_text())["entries"]}
+
+        assert main(base + ["--seed", "1", "--memo-path", str(memo)]) == 0
+        earlier = keys()
+        assert earlier
+
+        class Interrupted(Exception):
+            pass
+
+        def save_then_interrupt(callback, engine, stats):
+            original(callback, engine, stats)
+            raise Interrupted
+
+        original = CheckpointCallback.on_update
+        monkeypatch.setattr(CheckpointCallback, "on_update", save_then_interrupt)
+        with pytest.raises(Interrupted):
+            main(base + ["--seed", "2", "--checkpoint", ckpt])
+        monkeypatch.undo()
+        capsys.readouterr()
+
+        assert main(["place", "--resume", ckpt, "--memo-path", str(memo)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(earlier)} raw outcomes loaded" in out
+        assert earlier < keys()
 
     def test_memo_path_needs_cached_backend(self, capsys):
         assert main(["place", "--memo-path", "x.json", "--no-cache"]) == 2
