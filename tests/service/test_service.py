@@ -386,6 +386,7 @@ class TestHandshake:
                     remote.evaluate_batch(_placements(env, 1))
             assert not isinstance(excinfo.value, (HandshakeError, EvaluationFault))
             thread.join(timeout=5.0)
+            assert not thread.is_alive()
         finally:
             listener.close()
 
