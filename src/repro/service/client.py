@@ -79,13 +79,6 @@ __all__ = ["RemoteBackend", "migrate_space_request"]
 _TRANSPORT_ERRORS = (socket.timeout, ConnectionError, BrokenPipeError, OSError)
 
 
-def _parse_address(address: str):
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"address must be 'host:port', got {address!r}")
-    return host, int(port)
-
-
 def migrate_space_request(
     fingerprint: str,
     *,
@@ -114,9 +107,8 @@ def migrate_space_request(
 class _Connection:
     """One handshaken socket with line-oriented JSON framing."""
 
-    def __init__(self, host: str, port: int, timeout: float, hello: dict) -> None:
-        self.sock = socket.create_connection((host, port), timeout=timeout)
-        self.sock.settimeout(timeout)
+    def __init__(self, address: str, timeout: float, hello: dict) -> None:
+        self.sock = protocol.connect(address, timeout)
         self.rfile = self.sock.makefile("rb")
         self.wfile = self.sock.makefile("wb")
         try:
@@ -215,7 +207,8 @@ class RemoteBackend:
         if backoff_factor < 1:
             raise ValueError("backoff_factor must be >= 1")
         self.environment = environment
-        self.host, self.port = _parse_address(address)
+        protocol.parse_address(address)  # validate early, not on first dial
+        self.address = address
         self.timeout = timeout
         self.pool_size = pool_size
         self.reconnect_attempts = reconnect_attempts
@@ -270,7 +263,7 @@ class RemoteBackend:
             if attempt > 0:
                 self._backoff(attempt - 1)
             try:
-                conn = _Connection(self.host, self.port, self.timeout, hello)
+                conn = _Connection(self.address, self.timeout, hello)
                 break
             except HandshakeError as exc:
                 # ``space_loading`` is the one transient refusal: another
@@ -284,14 +277,14 @@ class RemoteBackend:
             except socket.timeout:
                 self.num_faults += 1
                 raise EvaluationFault(
-                    f"measurement service {self.host}:{self.port} did not answer the "
+                    f"measurement service {self.address} did not answer the "
                     f"handshake within {self.timeout:.1f}s",
                     kind="straggler",
                 ) from None
             except (ConnectionError, ProtocolError, OSError) as exc:
                 self.num_faults += 1
                 raise EvaluationFault(
-                    f"cannot reach measurement service {self.host}:{self.port}: {exc}",
+                    f"cannot reach measurement service {self.address}: {exc}",
                     kind="crash",
                 ) from None
         assert conn is not None
@@ -583,7 +576,7 @@ class RemoteBackend:
         conn = self._borrow()
         try:
             reply = conn.request({"op": "stats"})
-        except (socket.timeout, ConnectionError, BrokenPipeError, OSError) as exc:
+        except _TRANSPORT_ERRORS as exc:
             conn.close()
             raise self._fault_from(exc) from None
         self._release(conn)
@@ -596,7 +589,7 @@ class RemoteBackend:
         conn = self._borrow()
         try:
             reply = conn.request({"op": "shutdown"})
-        except (socket.timeout, ConnectionError, BrokenPipeError, OSError) as exc:
+        except _TRANSPORT_ERRORS as exc:
             conn.close()
             raise self._fault_from(exc) from None
         conn.close()

@@ -46,8 +46,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import protocol
 from .protocol import ProtocolError
-from .router import RouterServer, _backend_request, fetch_router_membership
+from .router import RouterServer, fetch_router_membership
 
 __all__ = ["HealthMonitor", "StandbyMirror"]
 
@@ -60,7 +61,7 @@ def default_probe(address: str, timeout: float) -> bool:
     """One ``ping`` probe: healthy iff the backend answers ``ok`` with
     state ``"serving"`` inside the deadline."""
     try:
-        reply = _backend_request(address, {"op": "ping"}, timeout)
+        reply = protocol.round_trip(address, {"op": "ping"}, timeout)
     except (OSError, ProtocolError):
         return False
     return bool(reply.get("ok")) and reply.get("state") == "serving"

@@ -1,9 +1,10 @@
 """Wire protocol of the measurement service.
 
-Transport: plain TCP carrying newline-delimited JSON — one strict-JSON
-object per line in each direction.  The protocol is deliberately dumb
-(no pickle, no framing beyond ``\\n``) so any language can implement a
-client and a captured session is human-readable.
+Transport: plain TCP with Nagle off (:func:`connect`) carrying
+newline-delimited JSON — one strict-JSON object per line in each
+direction.  The protocol is deliberately dumb (no pickle, no framing
+beyond ``\\n``) so any language can implement a client and a captured
+session is human-readable.
 
 Session layout::
 
@@ -102,7 +103,8 @@ local :class:`~repro.sim.backends.SerialBackend` run on the same seed.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, List, Optional, Sequence
+import socket
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +118,9 @@ __all__ = [
     "HANDSHAKE_CODES",
     "ProtocolError",
     "HandshakeError",
+    "parse_address",
+    "connect",
+    "round_trip",
     "read_message",
     "write_message",
     "encode_raw",
@@ -259,6 +264,39 @@ def read_message(rfile: IO[bytes]) -> Optional[Dict[str, Any]]:
     if not isinstance(message, dict):
         raise ProtocolError(f"expected a JSON object, got {type(message).__name__}")
     return message
+
+
+def parse_address(address: str) -> Tuple[str, int]:
+    """``"host:port"`` as ``(host, port)``; :class:`ValueError` otherwise."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not host or not port.isdigit():
+        raise ValueError(f"address must be 'host:port', got {address!r}")
+    return host, int(port)
+
+
+def connect(address: str, timeout: float) -> socket.socket:
+    """Dial ``address``: the one way the service opens a socket.
+
+    Nagle is off.  A reply streams as several small lines (one per
+    ticket), and with Nagle on every line after the first waits for the
+    peer's delayed ACK — a ~40 ms floor under each round trip.
+    ``timeout`` bounds the connect and every later socket operation.
+    """
+    sock = socket.create_connection(parse_address(address), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def round_trip(address: str, message: Dict[str, Any], timeout: float) -> Dict[str, Any]:
+    """One request and its one reply on a fresh connection (health pings,
+    router admin ops, migration legs)."""
+    with connect(address, timeout) as sock:
+        with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
+            write_message(wfile, message)
+            reply = read_message(rfile)
+    if reply is None:
+        raise ProtocolError(f"{address} closed the connection mid-request")
+    return reply
 
 
 def encode_raw(raw: RawOutcome) -> Dict[str, Any]:

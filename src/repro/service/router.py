@@ -78,13 +78,6 @@ _PUMP_CHUNK = 65536
 RING_STATES = ("up", "suspect", "down")
 
 
-def _parse_address(address: str) -> Tuple[str, int]:
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"backend address must be 'host:port', got {address!r}")
-    return host, int(port)
-
-
 class HashRing:
     """Consistent hashing of string keys over backend addresses.
 
@@ -112,7 +105,7 @@ class HashRing:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         for address in addresses:
-            _parse_address(address)  # validate early, not on first dial
+            protocol.parse_address(address)  # validate early, not on first dial
         self.backends = list(addresses)
         self.replicas = replicas
         self._states: Dict[str, str] = {address: "up" for address in addresses}
@@ -195,7 +188,7 @@ class HashRing:
     def add_backend(self, address: str) -> None:
         """Admit ``address``, hashing only its own virtual nodes — the
         ~1/N arcs those nodes claim are the only keys that remap."""
-        _parse_address(address)
+        protocol.parse_address(address)
         if address in self._states:
             raise ValueError(f"backend {address!r} already in the ring")
         positions, owners = self._table
@@ -235,6 +228,10 @@ class HashRing:
 
 class _RouterHandler(socketserver.StreamRequestHandler):
     server: "_RouterTCPServer"
+
+    #: Nagle off on the client-facing leg; the upstream leg is dialled
+    #: through :func:`~repro.service.protocol.connect`, which does the same.
+    disable_nagle_algorithm = True
 
     def _reply(self, payload: Dict[str, Any]) -> None:
         protocol.write_message(self.wfile, payload)
@@ -301,13 +298,10 @@ class _RouterHandler(socketserver.StreamRequestHandler):
         reply: Optional[Dict[str, Any]] = None
         for rank, address in enumerate(router.ring.ordered(key)):
             try:
-                sock = socket.create_connection(
-                    _parse_address(address), timeout=router.dial_timeout
-                )
+                sock = protocol.connect(address, router.dial_timeout)
             except OSError:
                 router._count("dial_failures", 1.0)
                 continue
-            sock.settimeout(router.dial_timeout)
             up_rfile = sock.makefile("rb")
             try:
                 protocol.write_message(sock.makefile("wb"), hello)
@@ -596,7 +590,7 @@ class RouterServer:
         source is unreachable or had nothing to push."""
         request = migrate_space_request(fingerprint, target=target)
         try:
-            reply = _backend_request(source, request, self.migrate_timeout)
+            reply = protocol.round_trip(source, request, self.migrate_timeout)
         except (OSError, ProtocolError):
             return False
         return bool(reply.get("ok")) and bool(reply.get("pushed"))
@@ -685,33 +679,12 @@ class RouterServer:
         self.close()
 
 
-def _backend_request(
-    address: str, message: Dict[str, Any], timeout: float
-) -> Dict[str, Any]:
-    """One request/response round trip against ``address``."""
-    host, port = _parse_address(address)
-    sock = socket.create_connection((host, port), timeout=timeout)
-    sock.settimeout(timeout)
-    rfile = sock.makefile("rb")
-    wfile = sock.makefile("wb")
-    try:
-        protocol.write_message(wfile, message)
-        reply = protocol.read_message(rfile)
-    finally:
-        rfile.close()
-        wfile.close()
-        sock.close()
-    if reply is None:
-        raise ProtocolError(f"{address} closed the connection mid-request")
-    return reply
-
-
 def router_admin(
     address: str, message: Dict[str, Any], timeout: float = 5.0
 ) -> Dict[str, Any]:
     """One admin op against a router; raises :class:`ProtocolError` on a
     refusal (the ``repro fleet`` CLI and the standby mirror build on it)."""
-    reply = _backend_request(address, message, timeout)
+    reply = protocol.round_trip(address, message, timeout)
     if not reply.get("ok"):
         raise ProtocolError(
             f"router admin {message.get('op')!r} failed: {reply.get('error')}"
@@ -722,7 +695,7 @@ def router_admin(
 def fetch_router_stats(address: str, timeout: float = 5.0) -> Dict[str, float]:
     """The router's fleet-wide counters via its first-message ``stats`` path."""
     try:
-        reply = _backend_request(address, {"op": "stats"}, timeout)
+        reply = protocol.round_trip(address, {"op": "stats"}, timeout)
     except ProtocolError as exc:
         raise ProtocolError(f"router stats failed: {exc}") from None
     if not reply.get("ok"):

@@ -104,32 +104,13 @@ def _placements_digest(decoded: Sequence) -> str:
     return hasher.hexdigest()
 
 
-def _peer_request(address: str, message: Dict[str, Any], timeout: float) -> Dict[str, Any]:
-    """One request/response round trip against a peer server (the
-    migration push's adopt leg travels server→server, not via clients)."""
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ProtocolError(f"peer address must be 'host:port', got {address!r}")
-    sock = socket.create_connection((host, int(port)), timeout=timeout)
-    sock.settimeout(timeout)
-    rfile = sock.makefile("rb")
-    wfile = sock.makefile("wb")
-    try:
-        protocol.write_message(wfile, message)
-        reply = protocol.read_message(rfile)
-    finally:
-        rfile.close()
-        wfile.close()
-        sock.close()
-    if reply is None:
-        raise ProtocolError(f"peer {address} closed the connection mid-request")
-    return reply
-
-
 class _Handler(socketserver.StreamRequestHandler):
     """One client session: handshake first, then a request loop."""
 
     server: "_TCPServer"
+
+    #: Nagle off: an ``evaluate_batch`` reply streams one line per ticket.
+    disable_nagle_algorithm = True
 
     #: Declarative op → handler-method table.  This is *data* the
     #: ``protocol-dispatch`` lint rule AST-extracts and cross-checks
@@ -363,6 +344,13 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _migrate_push(self, fingerprint: str, target: str) -> bool:
         service = self.service
+        try:
+            protocol.parse_address(target)
+        except ValueError as exc:
+            # Refuse before freezing: a space drained for an undialable
+            # target would stall its tenants for nothing.
+            self._reply(protocol.error_message(f"bad migrate_space target: {exc}"))
+            return True
         space = service.registry.get(fingerprint, service.clock())
         if space is None:
             # Nothing resident to move: the new owner lazy-loads from the
@@ -388,7 +376,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 fingerprint, space=spec_payload, state=state_payload
             )
             try:
-                reply = _peer_request(target, adopt, service.migrate_timeout)
+                reply = protocol.round_trip(target, adopt, service.migrate_timeout)
             except (OSError, ProtocolError) as exc:
                 space.thaw()
                 self._reply(

@@ -48,6 +48,10 @@ class TestLoadgenRun:
             assert report["metrics"]["loadgen.errors"] == 0.0
             assert report["metrics"]["loadgen.throughput_placements_per_sec"] > 0
             assert report["metrics"]["loadgen.tenants"] == 3.0
+            # latency lanes per population: round 1 misses, round 2 hits
+            assert report["metrics"]["loadgen.miss_latency_p50_ms"] > 0
+            assert report["metrics"]["loadgen.hit_latency_p50_ms"] > 0
+            assert not any("loadgen.latency_" in name for name in report["metrics"])
             assert len(report["tenant_fingerprints"]) == 3
             failures = check_fleet(report, fleet.space_stats())
             assert failures == []
@@ -63,6 +67,7 @@ class TestLoadgenRun:
                 report, fleet.space_stats(), expect_memo_hits=False
             )
             assert failures == []
+            assert report["metrics"]["loadgen.hit_latency_p50_ms"] == 0.0
 
     def test_report_is_strict_json(self):
         with LocalFleet(servers=1, workers=2) as fleet:
@@ -174,12 +179,12 @@ class TestPublishToBench:
         path = str(tmp_path / "BENCH_micro.json")
         publish_to_bench(self._report(), path)
         second = {
-            "metrics": {"loadgen.latency_p50_ms": 9.0},
+            "metrics": {"loadgen.hit_latency_p50_ms": 9.0},
             "config": {"searches": 8},
         }
         merged = publish_to_bench(second, path)
         assert merged["metrics"]["loadgen.throughput_placements_per_sec"] == 123.0
-        assert merged["metrics"]["loadgen.latency_p50_ms"] == 9.0
+        assert merged["metrics"]["loadgen.hit_latency_p50_ms"] == 9.0
 
     def test_micro_gate_skips_one_sided_loadgen_lanes(self, tmp_path):
         # a baseline without loadgen.* metrics: publishing them must not

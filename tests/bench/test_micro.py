@@ -109,19 +109,19 @@ class TestRegressionGate:
     def test_latency_improvement_passes(self, tmp_path):
         """``*_ms`` lanes are lower-is-better: halving a latency is a win."""
         base = tmp_path / "base.json"
-        write_report(_fake_report(**{"loadgen.latency_p50_ms": 40.0}), str(base))
-        faster = _fake_report(**{"loadgen.latency_p50_ms": 4.0})
+        write_report(_fake_report(**{"loadgen.hit_latency_p50_ms": 40.0}), str(base))
+        faster = _fake_report(**{"loadgen.hit_latency_p50_ms": 4.0})
         assert check_report(faster, baseline_path=str(base), tolerance=0.5) == []
 
     def test_latency_regression_fails(self, tmp_path):
         base = tmp_path / "base.json"
-        write_report(_fake_report(**{"loadgen.latency_p50_ms": 40.0}), str(base))
-        slower = _fake_report(**{"loadgen.latency_p50_ms": 90.0})
+        write_report(_fake_report(**{"loadgen.hit_latency_p50_ms": 40.0}), str(base))
+        slower = _fake_report(**{"loadgen.hit_latency_p50_ms": 90.0})
         failures = check_report(slower, baseline_path=str(base), tolerance=0.5)
         assert len(failures) == 1
-        assert "loadgen.latency_p50_ms regressed" in failures[0]
+        assert "loadgen.hit_latency_p50_ms regressed" in failures[0]
         # Within the mirrored bound (baseline / (1 - tolerance) = 80 ms).
-        jittery = _fake_report(**{"loadgen.latency_p50_ms": 79.0})
+        jittery = _fake_report(**{"loadgen.hit_latency_p50_ms": 79.0})
         assert check_report(jittery, baseline_path=str(base), tolerance=0.5) == []
 
     def test_min_speedup_gate(self):

@@ -9,6 +9,7 @@ import pytest
 from repro import MeasurementServer, PlacementEnvironment, RemoteBackend, SerialBackend
 from repro.graph.models.random_graphs import build_random_layered
 from repro.service import protocol
+from repro.service.client import migrate_space_request
 from repro.service.protocol import HandshakeError
 from repro.service.tenancy import SpaceSpec
 from repro.sim import Topology
@@ -282,3 +283,30 @@ class TestPerSpaceMetrics:
             assert 'repro_space_sessions{space="' in text
         finally:
             srv.close()
+
+
+class TestMigratePushTarget:
+    def test_malformed_target_is_refused_before_draining(self, server):
+        """A push to an undialable target answers a structured refusal on
+        a connection that stays open, and the space keeps serving."""
+        env = _tenant_env()
+        backend = RemoteBackend(env, server.address, offer_space=True, timeout=10.0)
+        try:
+            backend.evaluate_batch(_placements(env, 2))
+            host, port = server.address.rsplit(":", 1)
+            with socket.create_connection((host, int(port)), timeout=10.0) as sock:
+                rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+                for target in ("127.0.0.1:notaport", "127.0.0.1:"):
+                    request = migrate_space_request(backend.fingerprint, target=target)
+                    protocol.write_message(wfile, request)
+                    reply = protocol.read_message(rfile)
+                    assert reply is not None and reply["ok"] is False
+                    assert reply["kind"] == "protocol"
+                    assert "host:port" in reply["error"]
+                protocol.write_message(wfile, {"op": "ping"})
+                assert protocol.read_message(rfile)["state"] == "serving"
+            assert backend.fingerprint in server.registry
+            backend.evaluate_batch(_placements(env, 2, seed=1))
+            assert backend.stats()["faults"] == 0.0
+        finally:
+            backend.close()

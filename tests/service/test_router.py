@@ -15,6 +15,7 @@ from repro.service.router import (
     RING_STATES,
     HashRing,
     RouterServer,
+    _RouterHandler,
     fetch_router_membership,
     fetch_router_stats,
     router_admin,
@@ -215,6 +216,55 @@ class TestRouting:
         finally:
             router.close()
             server.close()
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+class TestNoDelay:
+    """Every service socket has Nagle off: a streamed multi-line reply
+    must not wait on the peer's delayed ACK.  Checked by socket option,
+    not by latency."""
+
+    def test_every_socket_of_a_routed_rpc_sets_nodelay(self, fleet, monkeypatch):
+        servers, router = fleet
+        relayed = []
+        pump = _RouterHandler._pump_both
+
+        def recording_pump(handler, up_sock, up_rfile):
+            relayed.append((handler.connection, up_sock))
+            return pump(handler, up_sock, up_rfile)
+
+        monkeypatch.setattr(_RouterHandler, "_pump_both", recording_pump)
+        env = _tenant_env()
+        backend = RemoteBackend(env, router.address, offer_space=True, timeout=10.0)
+        try:
+            backend.evaluate_batch(_placements(env, 3))
+            # the pooled connection keeps every leg of the route open
+            (conn,) = backend._idle
+            assert _nodelay(conn.sock)
+            ((client_leg, upstream_leg),) = relayed
+            assert _nodelay(client_leg)
+            assert _nodelay(upstream_leg)
+            accepted = [c for s in servers for c in s._connections]
+            assert accepted and all(_nodelay(c) for c in accepted)
+        finally:
+            backend.close()
+
+    def test_round_trip_socket_sets_nodelay(self, fleet, monkeypatch):
+        _, router = fleet
+        seen = []
+        dial = protocol.connect
+
+        def recording_connect(address, timeout):
+            sock = dial(address, timeout)
+            seen.append(_nodelay(sock))
+            return sock
+
+        monkeypatch.setattr(protocol, "connect", recording_connect)
+        assert protocol.round_trip(router.address, {"op": "stats"}, 5.0)["ok"]
+        assert seen == [True]
 
 
 class TestFailover:

@@ -368,7 +368,7 @@ class TestSigkillDuringMigration:
         import json
 
         from repro.service.client import migrate_space_request
-        from repro.service.router import _backend_request
+        from repro.service.protocol import round_trip
 
         ports = []
         for _ in range(2):
@@ -409,7 +409,7 @@ class TestSigkillDuringMigration:
 
             def push():
                 try:
-                    _backend_request(f"127.0.0.1:{port_a}", request, 15.0)
+                    round_trip(f"127.0.0.1:{port_a}", request, 15.0)
                 except Exception:
                     pass  # the kill races the reply on purpose
 
