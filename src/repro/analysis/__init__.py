@@ -13,7 +13,6 @@ The rule catalogue lives in DESIGN.md §9; ``repro lint --list-rules``
 prints it from the registry.
 """
 
-from .cache import DEFAULT_CACHE_PATH, LintCache
 from .context import ContractIndex, FileContext, module_for_path
 from .findings import ERROR, SEVERITIES, WARNING, Finding
 from .fixes import Fix, TextEdit, apply_fixes
@@ -48,8 +47,6 @@ __all__ = [
     "Fix",
     "TextEdit",
     "apply_fixes",
-    "DEFAULT_CACHE_PATH",
-    "LintCache",
     "ContractIndex",
     "FileContext",
     "module_for_path",

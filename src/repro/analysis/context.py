@@ -1,7 +1,8 @@
 """Per-file lint context and the cross-file contract index.
 
 :class:`FileContext` bundles everything a rule needs to check one file:
-the parsed AST, the dotted module name inferred from the path (``None``
+the parsed AST (and every node of it, walked once and shared by the
+rules), the dotted module name inferred from the path (``None``
 for files outside the ``repro`` package, e.g. tests and examples — rules
 scoped to specific packages skip those), an import-alias resolver, and
 the shared :class:`ContractIndex`.
@@ -33,10 +34,8 @@ wire error.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from pathlib import Path, PurePath
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 __all__ = [
     "FileContext",
@@ -130,10 +129,10 @@ def resolve_dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     return ".".join([root] + chain[1:])
 
 
-def collect_aliases(tree: ast.AST) -> Dict[str, str]:
+def collect_aliases(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the absolute dotted names they were imported as."""
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 local = item.asname or item.name.split(".", 1)[0]
@@ -162,8 +161,11 @@ class FileContext:
         self.source = source
         self.tree = tree
         self.contracts = contracts
+        #: ``ast.walk(tree)`` in walk order, computed once: every rule that
+        #: scans the whole file iterates this instead of re-walking.
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
         self.module = module_for_path(path)
-        self.aliases = collect_aliases(tree)
+        self.aliases = collect_aliases(self.nodes)
 
     # ------------------------------------------------------------------ #
     def in_packages(self, prefixes: Tuple[str, ...]) -> bool:
@@ -325,30 +327,6 @@ class ContractIndex:
         )
 
     # ------------------------------------------------------------------ #
-    def digest(self) -> str:
-        """Stable hash over every extracted table.
-
-        The lint cache salts itself with this, so editing any contract
-        *input* (a hook signature, a dispatch site, an import edge)
-        invalidates cached findings without hashing whole source files.
-        """
-        payload = {
-            "callback_signatures": self.callback_signatures,
-            "backend_methods": self.backend_methods,
-            "message_schema": self.message_schema,
-            "nested_fields": sorted(self.nested_fields),
-            "server_dispatch": self.server_dispatch,
-            "server_methods": sorted(self.server_methods),
-            "client_constructors": self.client_constructors,
-            "callback_fire_counts": self.callback_fire_counts,
-            "internal_imports": [list(pair) for pair in self.internal_imports],
-            "admin_schema": self.admin_schema,
-            "router_dispatch": self.router_dispatch,
-            "router_methods": sorted(self.router_methods),
-        }
-        blob = json.dumps(payload, sort_keys=True, default=list)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
     @staticmethod
     def _extract_method_signatures(
         path: Path, class_name: str, prefix: str = ""

@@ -10,7 +10,7 @@ rule anchored to.
 
 A finding may carry a :class:`~repro.analysis.fixes.Fix` — the mechanical
 remediation ``repro lint --fix`` applies.  The fix rides along in
-``to_dict``/``from_dict`` so the incremental cache round-trips it.
+``to_dict`` so JSON reports show it.
 """
 
 from __future__ import annotations
@@ -58,20 +58,6 @@ class Finding:
         if self.fix is not None:
             payload["fix"] = self.fix.to_dict()
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental lint cache)."""
-        fix_payload = payload.get("fix")
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            rule_id=str(payload["rule"]),
-            severity=str(payload["severity"]),
-            message=str(payload["message"]),
-            fix=Fix.from_dict(fix_payload) if fix_payload is not None else None,
-        )
 
     def render(self) -> str:
         """The one-line text form: ``path:line:col: severity[rule] message``."""

@@ -37,7 +37,6 @@ __all__ = [
     "byte_col_to_char",
     "node_char_span",
     "wrap_node_fix",
-    "replace_node_fix",
 ]
 
 
@@ -62,15 +61,6 @@ class TextEdit:
             "replacement": self.replacement,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TextEdit":
-        start = payload["start"]
-        end = payload["end"]
-        return cls(
-            int(start[0]), int(start[1]), int(end[0]), int(end[1]),
-            str(payload["replacement"]),
-        )
-
 
 @dataclass(frozen=True)
 class Fix:
@@ -90,14 +80,6 @@ class Fix:
             "description": self.description,
             "edits": [edit.to_dict() for edit in self.edits],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Fix":
-        return cls(
-            fix_id=str(payload["id"]),
-            edits=tuple(TextEdit.from_dict(e) for e in payload["edits"]),
-            description=str(payload.get("description", "")),
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -145,22 +127,6 @@ def wrap_node_fix(
             TextEdit(start_line, start_col, start_line, start_col, prefix),
             TextEdit(end_line, end_col, end_line, end_col, suffix),
         ),
-        description,
-    )
-
-
-def replace_node_fix(
-    fix_id: str, source: str, node: ast.AST, replacement: str,
-    description: str = "",
-) -> Optional[Fix]:
-    """A fix that replaces a node's source span with ``replacement``."""
-    span = node_char_span(source, node)
-    if span is None:
-        return None
-    start_line, start_col, end_line, end_col = span
-    return Fix(
-        fix_id,
-        (TextEdit(start_line, start_col, end_line, end_col, replacement),),
         description,
     )
 

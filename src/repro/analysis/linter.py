@@ -8,8 +8,6 @@ touching disk).  Both return findings in deterministic sorted order.
 ``--fix`` flows through :func:`fix_paths`: per file, a lint → apply →
 re-lint fixpoint loop (overlap-skipped fixes land on a later pass), with
 the changed sources written back atomically by :func:`write_fix_run`.
-The loop never touches the incremental cache — fixes must always be
-computed against the rules as they are now.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ from __future__ import annotations
 import ast
 import difflib
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .cache import LintCache, content_hash
 from .context import ContractIndex, FileContext
 from .findings import ERROR, Finding
 from .fixes import apply_fixes
@@ -51,15 +48,9 @@ _SKIP_DIRS = {"__pycache__", ".git", ".ruff_cache", ".pytest_cache", "build", "d
 class LintResult:
     """Findings plus the file census of one lint run."""
 
-    def __init__(
-        self,
-        findings: List[Finding],
-        files_scanned: int,
-        cache_hits: int = 0,
-    ) -> None:
+    def __init__(self, findings: List[Finding], files_scanned: int) -> None:
         self.findings = findings
         self.files_scanned = files_scanned
-        self.cache_hits = cache_hits
 
     @property
     def errors(self) -> int:
@@ -127,52 +118,34 @@ def lint_source(
     return sorted(findings, key=Finding.sort_key)
 
 
-def lint_file(path: Path, contracts: Optional[ContractIndex] = None) -> List[Finding]:
+def _read(path: Path) -> Union[str, Finding]:
+    """The file's source, or the ``syntax-error`` finding for an unreadable one."""
     try:
-        source = path.read_text()
+        return path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        return [Finding(str(path), 1, 0, "syntax-error", ERROR, f"cannot read file: {exc}")]
+        return Finding(str(path), 1, 0, "syntax-error", ERROR, f"cannot read file: {exc}")
+
+
+def lint_file(path: Path, contracts: Optional[ContractIndex] = None) -> List[Finding]:
+    """Lint one file on disk; an unreadable file is a ``syntax-error`` finding."""
+    source = _read(path)
+    if isinstance(source, Finding):
+        return [source]
     return lint_source(source, str(path), contracts)
 
 
 def lint_paths(
     paths: Sequence[str],
     contracts: Optional[ContractIndex] = None,
-    cache: Optional[LintCache] = None,
 ) -> LintResult:
-    """Lint every Python file under ``paths``; the CLI entry point.
-
-    With ``cache`` (see :class:`~repro.analysis.cache.LintCache`), files
-    whose content hash matches the last run reuse its findings instead of
-    re-running every rule; fresh results are stored back and the cache is
-    atomically saved before returning.  Unreadable files bypass the cache
-    (their ``syntax-error`` finding has no content to key on).
-    """
+    """Lint every Python file under ``paths``; the CLI entry point."""
     if contracts is None:
         contracts = ContractIndex.load()
     files = discover_files(paths)
     findings: List[Finding] = []
     for path in files:
-        if cache is None:
-            findings.extend(lint_file(path, contracts))
-            continue
-        try:
-            source = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(
-                Finding(str(path), 1, 0, "syntax-error", ERROR, f"cannot read file: {exc}")
-            )
-            continue
-        source_hash = content_hash(source)
-        cached = cache.lookup(str(path), source_hash)
-        if cached is None:
-            cached = lint_source(source, str(path), contracts)
-            cache.store(str(path), source_hash, cached)
-        findings.extend(cached)
-    hits = cache.hits if cache is not None else 0
-    if cache is not None:
-        cache.save()
-    return LintResult(sorted(findings, key=Finding.sort_key), len(files), hits)
+        findings.extend(lint_file(path, contracts))
+    return LintResult(sorted(findings, key=Finding.sort_key), len(files))
 
 
 # ---------------------------------------------------------------------- #
@@ -274,8 +247,7 @@ def fix_paths(
     """Run the fix loop over every Python file under ``paths``.
 
     Purely in-memory: nothing is written (so ``--diff`` can preview);
-    :func:`write_fix_run` publishes the changed sources.  Deliberately
-    cache-free — see the module docstring.
+    :func:`write_fix_run` publishes the changed sources.
     """
     if contracts is None:
         contracts = ContractIndex.load()
@@ -283,12 +255,9 @@ def fix_paths(
     file_fixes: List[FileFix] = []
     findings: List[Finding] = []
     for path in files:
-        try:
-            source = path.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(
-                Finding(str(path), 1, 0, "syntax-error", ERROR, f"cannot read file: {exc}")
-            )
+        source = _read(path)
+        if isinstance(source, Finding):
+            findings.append(source)
             continue
         fixed, applied, remaining = fix_source(source, str(path), contracts)
         file_fixes.append(FileFix(str(path), source, fixed, applied))

@@ -21,7 +21,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .findings import ERROR, WARNING, Finding
 from .fixes import Fix, TextEdit
@@ -98,9 +98,13 @@ class PragmaSheet:
         """Parse pragmas from *comment tokens* only.
 
         Tokenising (rather than regex-scanning raw lines) keeps pragma
-        examples inside docstrings and string literals inert.
+        examples inside docstrings and string literals inert.  A comment
+        token is a substring of the source and the pragma pattern needs
+        the literal ``repro:``, so a source without it is not tokenised.
         """
         pragmas: List[Pragma] = []
+        if "repro:" not in source:
+            return cls(pragmas)
         try:
             tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         except (tokenize.TokenError, IndentationError, SyntaxError):

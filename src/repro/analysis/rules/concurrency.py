@@ -111,7 +111,7 @@ class LockGuardedStateRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_packages(self._SCOPE):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ClassDef):
                 yield from self._check_class(ctx, node)
 

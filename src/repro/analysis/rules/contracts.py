@@ -16,7 +16,7 @@ definitions change.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..context import FileContext
 from ..findings import Finding
@@ -69,7 +69,7 @@ class CallbackSignatureRule(Rule):
         base_sigs = ctx.contracts.callback_signatures
         if not base_sigs:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if not any(b in _CALLBACK_BASES for b in _base_names(node)):
@@ -130,7 +130,7 @@ class CallbackHookRule(Rule):
     # ------------------------------------------------------------------ #
     def _check_dispatch_sites(self, ctx: FileContext, hooks) -> Iterator[Finding]:
         """Every ``<recv>.on_*(...)`` call must name a hook, at hook arity."""
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -164,7 +164,7 @@ class CallbackHookRule(Rule):
         fires = ctx.contracts.callback_fire_counts
         if not fires:
             return  # fire-site extraction had no tree to read
-        anchor = self._callback_class(ctx.tree)
+        anchor = self._callback_class(ctx.nodes)
         if anchor is None:
             return
         for name in sorted(hooks):
@@ -177,8 +177,8 @@ class CallbackHookRule(Rule):
                 )
 
     @staticmethod
-    def _callback_class(tree: ast.AST) -> Optional[ast.AST]:
-        for node in ast.walk(tree):
+    def _callback_class(nodes: Iterable[ast.AST]) -> Optional[ast.AST]:
+        for node in nodes:
             if isinstance(node, ast.ClassDef) and node.name == CallbackHookRule._BASE_CLASS:
                 return node
         return None
@@ -198,7 +198,7 @@ class BackendProtocolRule(Rule):
         surface = ctx.contracts.backend_methods
         if not surface:
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             if node.name == _BACKEND_PROTOCOL:
@@ -280,7 +280,7 @@ class ProtocolSchemaRule(Rule):
         # "stats" merge their field tuples).
         schema = ctx.contracts.combined_schema
         known_fields = ctx.contracts.all_wire_fields
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Dict):
                 yield from self._check_message_literal(ctx, node, schema, known_fields)
             elif isinstance(node, ast.Call):
@@ -404,7 +404,7 @@ class ProtocolDispatchRule(Rule):
             # A contract source was unreadable (e.g. a fixture tree with
             # no server/client); silence beats guessing.
             return
-        anchor = self._schema_assign(ctx.tree)
+        anchor = self._schema_assign(ctx.nodes)
         if anchor is None:
             return
         methods = ctx.contracts.server_methods
@@ -456,8 +456,8 @@ class ProtocolDispatchRule(Rule):
         dispatch = ctx.contracts.router_dispatch
         if not admin or not dispatch:
             return
-        anchor = self._named_assign(ctx.tree, "ADMIN_SCHEMA") or self._schema_assign(
-            ctx.tree
+        anchor = self._named_assign(ctx.nodes, "ADMIN_SCHEMA") or self._schema_assign(
+            ctx.nodes
         )
         if anchor is None:
             return
@@ -485,12 +485,12 @@ class ProtocolDispatchRule(Rule):
             )
 
     @staticmethod
-    def _schema_assign(tree: ast.AST) -> Optional[ast.AST]:
-        return ProtocolDispatchRule._named_assign(tree, "MESSAGE_SCHEMA")
+    def _schema_assign(nodes: Iterable[ast.AST]) -> Optional[ast.AST]:
+        return ProtocolDispatchRule._named_assign(nodes, "MESSAGE_SCHEMA")
 
     @staticmethod
-    def _named_assign(tree: ast.AST, name: str) -> Optional[ast.AST]:
-        for node in ast.walk(tree):
+    def _named_assign(nodes: Iterable[ast.AST], name: str) -> Optional[ast.AST]:
+        for node in nodes:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:

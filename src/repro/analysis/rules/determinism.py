@@ -89,7 +89,7 @@ class WallClockRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_packages(DETERMINISM_PACKAGES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
@@ -116,7 +116,7 @@ class UnseededRngRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_packages(DETERMINISM_PACKAGES):
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
@@ -215,7 +215,7 @@ class SetIterationRule(Rule):
                 "iterate a sorted() copy for a defined order",
             )
 
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)) and is_set_expr(node.iter):
                 yield self.finding(
                     ctx, node,
@@ -266,7 +266,7 @@ class SetIterationRule(Rule):
 
     def _annotated_set_names(self, ctx: FileContext) -> Set[str]:
         names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 if self._is_set_annotation(node.annotation):
                     names.add(node.target.id)
@@ -278,7 +278,7 @@ class SetIterationRule(Rule):
 
     def _annotated_set_attrs(self, ctx: FileContext) -> Set[str]:
         attrs: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute):
                 if self._is_set_annotation(node.annotation):
                     attrs.add(node.target.attr)
@@ -288,7 +288,7 @@ class SetIterationRule(Rule):
     def _inferred_set_names(ctx: FileContext) -> Set[str]:
         """Names assigned a syntactic set expression anywhere in the file."""
         names: Set[str] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
             target = node.targets[0]

@@ -1,17 +1,16 @@
 """Hygiene rules: cheap-to-check habits with expensive failure modes.
 
 Mutable default arguments alias state across calls (a classic source of
-cross-test contamination in long-lived engines); bare ``except:`` clauses
-swallow ``KeyboardInterrupt``/``SystemExit`` and turn a wedged worker
-into an unkillable one; and imports that run *against* the layer order
-(e.g. ``repro.sim`` importing ``repro.service``) create cycles that only
-surface as ImportErrors under specific import orders.
+cross-test contamination in long-lived engines), and imports that run
+*against* the layer order (e.g. ``repro.sim`` importing
+``repro.service``) create cycles that only surface as ImportErrors under
+specific import orders.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..context import FileContext, absolute_import_target
 from ..findings import Finding
@@ -20,7 +19,6 @@ from ..registry import Rule, register
 
 __all__ = [
     "MutableDefaultRule",
-    "BareExceptRule",
     "LayerImportRule",
     "LayerRankUnusedRule",
     "LAYERS",
@@ -41,7 +39,7 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for arg_name, default in self._defaulted_args(node):
@@ -128,41 +126,6 @@ class MutableDefaultRule(Rule):
         return False
 
 
-@register
-class BareExceptRule(Rule):
-    rule_id = "bare-except"
-    title = "no bare except clauses"
-    rationale = (
-        "`except:` catches KeyboardInterrupt and SystemExit — a retry "
-        "loop with one turns Ctrl-C into another retry; catch Exception "
-        "(or narrower) instead."
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    ctx, node,
-                    "bare `except:` also catches KeyboardInterrupt/SystemExit "
-                    "— catch Exception or a narrower type",
-                    fix=self._fix(ctx, node),
-                )
-
-    @staticmethod
-    def _fix(ctx: FileContext, node: ast.ExceptHandler) -> Optional[Fix]:
-        """Insert ``Exception`` right after the ``except`` keyword."""
-        span = node_char_span(ctx.source, node)
-        if span is None:
-            return None
-        line, col = span[0], span[1]
-        insert_at = col + len("except")
-        text = ctx.source.splitlines()[line - 1]
-        if text[col:insert_at] != "except":
-            return None
-        edit = TextEdit(line, insert_at, line, insert_at, " Exception")
-        return Fix("bare-except-exception", (edit,), "catch Exception instead")
-
-
 #: The layer order, lowest first.  An import is legal when the importing
 #: module's rank is >= the imported module's rank (you may look *down*
 #: the stack, never up).  Ranks are derived from the actual dependency
@@ -223,7 +186,7 @@ class LayerImportRule(Rule):
         if importer_rank is None:
             return
         is_package = ctx.path.endswith("__init__.py")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     yield from self._check_target(ctx, node, importer_rank, item.name)
@@ -246,9 +209,6 @@ class LayerImportRule(Rule):
             f"{_layer_name(target)} (layer {imported_rank}) — imports must "
             "point down the layer order",
         )
-
-    # `_absolute_target` moved to repro.analysis.context.absolute_import_target
-    # so the ContractIndex import-edge extraction shares the same resolution.
 
 
 @register
@@ -274,7 +234,7 @@ class LayerRankUnusedRule(Rule):
         pairs = ctx.contracts.internal_imports
         if not pairs:
             return  # source tree unavailable — nothing to prove against
-        anchor = self._layers_assignment(ctx.tree)
+        anchor = self._layers_assignment(ctx.nodes)
         if anchor is None:
             return
         crossings = []
@@ -299,8 +259,8 @@ class LayerRankUnusedRule(Rule):
                 )
 
     @staticmethod
-    def _layers_assignment(tree: ast.AST) -> Optional[ast.AST]:
-        for node in ast.walk(tree):
+    def _layers_assignment(nodes: Iterable[ast.AST]) -> Optional[ast.AST]:
+        for node in nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name) and target.id == "LAYERS":

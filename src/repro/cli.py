@@ -331,21 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalogue (id, severity, title, rationale) and exit",
     )
     p.add_argument(
-        "--no-cache", action="store_true",
-        help="re-lint every file instead of reusing results for files whose "
-             "content hash is unchanged since the last run",
-    )
-    p.add_argument(
-        "--cache-path", default=None, metavar="PATH",
-        help="where the incremental cache lives "
-             "(default: .repro-lint-cache.json; invalidated wholesale when "
-             "any rule or contract source changes)",
-    )
-    p.add_argument(
         "--fix", action="store_true",
         help="apply available autofixes (atomic writes, bottom-up per "
-             "file, to a fixpoint); the cache is skipped so fixes are "
-             "always computed against the current rules",
+             "file, to a fixpoint)",
     )
     p.add_argument(
         "--diff", action="store_true",
@@ -832,8 +820,6 @@ def cmd_gantt(args) -> int:
 
 def cmd_lint(args) -> int:
     from .analysis import (
-        DEFAULT_CACHE_PATH,
-        LintCache,
         all_rules,
         fix_paths,
         lint_paths,
@@ -854,8 +840,6 @@ def cmd_lint(args) -> int:
         print("error: --diff requires --fix", file=sys.stderr)
         return 2
     if args.fix:
-        # Fixes are never served from the cache: a stale entry could
-        # suppress an applicable fix or re-apply a retired one.
         run = fix_paths(args.paths)
         result = run.result
         if result.files_scanned == 0:
@@ -875,10 +859,7 @@ def cmd_lint(args) -> int:
             print(render_text(result))
         failed = result.errors > 0 if args.fail_on == "error" else bool(result.findings)
         return 1 if failed else 0
-    cache = None
-    if not args.no_cache:
-        cache = LintCache.load(args.cache_path or DEFAULT_CACHE_PATH)
-    result = lint_paths(args.paths, cache=cache)
+    result = lint_paths(args.paths)
     if result.files_scanned == 0:
         print(f"error: no Python files found under {' '.join(args.paths)}",
               file=sys.stderr)

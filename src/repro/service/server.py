@@ -312,6 +312,11 @@ class _Handler(socketserver.StreamRequestHandler):
         return True
 
     def _op_shutdown(self, request: Dict[str, Any]) -> bool:
+        # Refuse new work *before* acknowledging, so no client that dials
+        # after the reply gets a batch simulated; the close thread starts
+        # only after the reply, so this handler's own socket is not torn
+        # down mid-write.
+        self.service.draining.set()
         self._reply({"ok": True})
         self.service._request_shutdown()
         return False

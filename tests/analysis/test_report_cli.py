@@ -14,6 +14,7 @@ from repro import cli
 from repro.analysis import (
     JSON_REPORT_VERSION,
     ContractIndex,
+    fix_paths,
     lint_paths,
     lint_source,
     render_json,
@@ -63,15 +64,15 @@ class TestJsonReport:
 
     def test_fixable_finding_carries_fix_payload(self, contracts):
         findings = lint_source(
-            "def f():\n    try:\n        return 1\n    except:\n        return 0\n",
+            "def f(x=[]):\n    x.append(1)\n    return x\n",
             "src/repro/sim/bad.py",
             contracts,
         )
         report = to_report_dict(LintResult(findings, 1))
         (entry,) = report["findings"]
-        assert entry["rule"] == "bare-except"
+        assert entry["rule"] == "mutable-default"
         assert entry["fixable"] is True
-        assert entry["fix"]["id"] == "bare-except-exception"
+        assert entry["fix"]["id"] == "mutable-default-none"
         edits = entry["fix"]["edits"]
         assert edits and all(
             set(e) == {"start", "end", "replacement"} for e in edits
@@ -129,7 +130,7 @@ class TestCliExitCodes:
         out = capsys.readouterr().out
         for rule_id in ("wall-clock", "unseeded-rng", "set-iteration",
                         "callback-signature", "backend-protocol", "protocol-schema",
-                        "mutable-default", "bare-except", "layer-import",
+                        "mutable-default", "layer-import",
                         "pragma-reason", "pragma-unknown-rule", "pragma-unused"):
             assert rule_id in out
 
@@ -137,6 +138,43 @@ class TestCliExitCodes:
         write_fixture(tmp_path, "src/repro/sim/broken.py", "def f(:\n")
         assert cli.main(["lint", str(tmp_path)]) == 1
         assert "syntax-error" in capsys.readouterr().out
+
+    def test_lint_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        tree = tmp_path / "tree"
+        write_fixture(
+            tree, "src/repro/sim/bad.py",
+            "import time\n\ndef f():\n    return time.time()\n",
+        )
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["lint", str(tree)]) == 1
+        assert sorted(tmp_path.rglob("*")) == before
+        assert "error[wall-clock]" in capsys.readouterr().out
+
+    def test_no_cache_flag_is_unknown(self, tmp_path, capsys):
+        write_fixture(tmp_path, "src/repro/sim/good.py", "VALUE = 3\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lint", "--no-cache", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize("entry", ["lint_paths", "fix_paths"])
+    def test_is_a_syntax_error(self, tmp_path, contracts, entry):
+        write_fixture(
+            tmp_path, "src/repro/sim/good.py", "def f(rng):\n    return rng.normal()\n"
+        )
+        bad = tmp_path / "src" / "repro" / "sim" / "bad.py"
+        bad.write_bytes(b"\xff\xfe junk \xff")
+        if entry == "lint_paths":
+            result = lint_paths([str(tmp_path)], contracts)
+        else:
+            result = fix_paths([str(tmp_path)], contracts).result
+        assert result.files_scanned == 2
+        (finding,) = result.findings
+        assert (finding.path, finding.rule_id) == (str(bad), "syntax-error")
+        assert finding.message.startswith("cannot read file:")
 
 
 ACCEPTANCE_FIXTURES = [

@@ -46,24 +46,6 @@ class TestMutableDefault:
         assert lint_source(src, SIM_PATH, contracts) == []
 
 
-class TestBareExcept:
-    def test_bare_except_flagged(self, contracts):
-        src = "def f():\n    try:\n        pass\n    except:\n        pass\n"
-        assert rule_ids(lint_source(src, SIM_PATH, contracts)) == ["bare-except"]
-
-    def test_typed_except_clean(self, contracts):
-        src = "def f():\n    try:\n        pass\n    except Exception:\n        pass\n"
-        assert lint_source(src, SIM_PATH, contracts) == []
-
-    def test_pragma_suppresses(self, contracts):
-        src = (
-            "def f():\n    try:\n        pass\n"
-            "    except:  # repro: allow[bare-except] last-ditch logging shim\n"
-            "        pass\n"
-        )
-        assert lint_source(src, SIM_PATH, contracts) == []
-
-
 class TestLayerImport:
     def test_upward_absolute_import_flagged(self, contracts):
         src = "from repro.service import client\n"

@@ -19,6 +19,7 @@ class TestSelfLint:
                 str(REPO_ROOT / "src" / "repro"),
                 str(REPO_ROOT / "tests"),
                 str(REPO_ROOT / "examples"),
+                str(REPO_ROOT / "benchmarks"),
             ]
         )
         rendered = "\n".join(f.render() for f in result.findings)

@@ -441,6 +441,29 @@ class TestLifecycle:
         with pytest.raises(EvaluationFault):
             fresh.evaluate_batch(_placements(env, 1))
 
+    def test_shutdown_ack_means_no_new_work(self, server, monkeypatch):
+        """Once ``shutdown`` is acknowledged, a fresh batch is refused
+        even while the server is still closing."""
+        release, closed = threading.Event(), threading.Event()
+        real_close = server.close
+
+        def held_close():
+            release.wait(timeout=10.0)
+            real_close()
+            closed.set()
+
+        monkeypatch.setattr(server, "close", held_close)
+        env = _env()
+        try:
+            with RemoteBackend(env, server.address, timeout=5.0) as remote:
+                remote.shutdown_server()
+            with RemoteBackend(env, server.address, timeout=5.0) as fresh:
+                with pytest.raises(EvaluationFault):
+                    fresh.evaluate_batch(_placements(env, 1))
+        finally:
+            release.set()
+        assert closed.wait(timeout=10.0)
+
     def test_close_is_idempotent(self, server):
         server.close()
         server.close()
