@@ -576,13 +576,16 @@ class _Handler(socketserver.StreamRequestHandler):
                 )
             admitted = True
             if leaders:
-                # Enough misses to sweep go to one pool task; fewer go one
-                # task per placement, so the pool's workers share them.
-                # Admission stays all-or-nothing (a single submit_many).
+                # Enough misses to sweep go to one pool task; fewer are
+                # dealt into one scalar chunk per worker, so the workers
+                # share them and a batch never takes more backlog slots
+                # than there are workers.  Admission stays all-or-nothing
+                # (a single submit_many).
                 if len(leaders) >= SWEEP_MIN_LANES:
                     chunks = [leaders]
                 else:
-                    chunks = [[leader] for leader in leaders]
+                    ways = min(len(leaders), service.workers)
+                    chunks = [leaders[i::ways] for i in range(ways)]
                 placements = [[p for _, p, _ in chunk] for chunk in chunks]
                 futures = service._pool.submit_many(
                     [(service._simulate_chunk, space, ps) for ps in placements]
@@ -698,7 +701,8 @@ class MeasurementServer:
         builds private per-space :class:`~repro.sim.batch.BatchSimulator`
         instances on first use.  A batch whose cache misses reach
         :data:`~repro.sim.batch.SWEEP_MIN_LANES` runs as one pool task
-        that sweeps them; smaller ones run one task per placement.
+        that sweeps them; smaller ones are dealt into one scalar task per
+        worker.
     memo_path:
         Optional persisted cache (:meth:`MemoBackend.load` format) to warm
         the *default* space's table from at startup; ignored if missing,

@@ -102,7 +102,19 @@ class SerialBackend:
 
 
 def _placement_key(placement: Sequence[int]) -> bytes:
-    return np.ascontiguousarray(placement, dtype=np.int64).tobytes()
+    """The exact memo key of a placement: a tag byte, then one byte per op.
+
+    Device indices in [0, 255] (every topology this repo builds) are stored
+    as ``uint8`` after the tag ``0x00``.  Any other index keeps the int64
+    bytes after the tag ``0x01``, so device 257 never shares a key with
+    device 1 and still reaches the simulator's range check.  The tags
+    differ, so keys of the two encodings never collide, whatever the
+    placement lengths.
+    """
+    a = np.ascontiguousarray(placement, dtype=np.int64)
+    if (a & -256).any():  # an entry outside [0, 255]
+        return b"\x01" + a.tobytes()
+    return b"\x00" + a.astype(np.uint8).tobytes()
 
 
 class MemoBackend:
@@ -116,7 +128,7 @@ class MemoBackend:
 
     ``max_entries`` bounds the cache LRU-style (unbounded by default — a
     search touches at most ``max_samples`` distinct placements, and each
-    entry costs its placement key, 8 bytes per op, plus a few floats).
+    entry costs its placement key, one byte per op, plus a few floats).
 
     The cache table can be spilled to disk with :meth:`save` and revived in
     another process with :meth:`load`.  Persisted tables are keyed by the
@@ -128,7 +140,9 @@ class MemoBackend:
     own lock) so many network clients share one table.
     """
 
-    _PERSIST_VERSION = 1
+    #: 2: compact placement keys (see :func:`_placement_key`); a version-1
+    #: file's int64 keys would only miss, so :meth:`load` refuses it.
+    _PERSIST_VERSION = 2
 
     def __init__(
         self,

@@ -25,8 +25,9 @@ The memory check is one scatter-add over a ``(K, n) -> (K, d)`` index map
 over-commit detail the scalar path raises — they are excluded from the
 sweep and reported per lane instead of raised.
 
-The sweep pays off only from about a dozen lanes: below that its per-op
-numpy dispatch costs more than the scalar loop's plain float arithmetic.
+The sweep pays off only from about 64 lanes: below that its per-op numpy
+dispatch costs more than the scalar loop's plain float arithmetic on
+Python lists.
 :meth:`BatchSimulator.raw_outcomes` — the one method every evaluator calls —
 therefore sweeps when a batch has at least :data:`SWEEP_MIN_LANES`
 placements and runs the scalar loop otherwise.  Both sides give the same
@@ -55,7 +56,7 @@ __all__ = ["BatchStepBreakdown", "BatchSimulator", "SWEEP_MIN_LANES"]
 
 #: Smallest batch :meth:`BatchSimulator.raw_outcomes` sweeps; smaller
 #: batches run the scalar loop, which is faster there (DESIGN.md §11).
-SWEEP_MIN_LANES = 16
+SWEEP_MIN_LANES = 64
 
 #: Per-lane out-of-memory detail: device -> (demanded bytes, capacity bytes).
 OomDetail = Dict[int, Tuple[float, float]]

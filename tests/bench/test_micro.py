@@ -12,11 +12,12 @@ from repro.bench.micro import (
     BENCH_MODELS,
     FORMAT,
     FORMAT_VERSION,
-    SPEEDUP_GATE_METRIC,
+    SPEEDUP_GATE_METRICS,
     check_report,
     load_report,
     write_report,
 )
+from repro.sim.batch import SWEEP_MIN_LANES
 
 _REPO_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -27,7 +28,7 @@ def _fake_report(**metric_overrides):
     metrics = {"policy.updates_per_sec": 2.0, "service.placements_per_sec": 500.0}
     for model in BENCH_MODELS:
         metrics[f"sim.serial.{model}.placements_per_sec"] = 100.0
-        metrics[f"sim.batch64.{model}.placements_per_sec"] = 400.0
+        metrics[f"sim.batch{SWEEP_MIN_LANES}.{model}.placements_per_sec"] = 400.0
         metrics[f"sim.speedup.{model}"] = 4.0
     metrics.update(metric_overrides)
     return {
@@ -47,9 +48,11 @@ class TestReportSchema:
         report = load_report(os.path.join(root, "BENCH_micro.json"))
         assert report["format_version"] == FORMAT_VERSION
         metrics = report["metrics"]
-        assert SPEEDUP_GATE_METRIC in metrics
+        for name in SPEEDUP_GATE_METRICS:
+            assert name in metrics
         for model in BENCH_MODELS:
             assert f"sim.serial.{model}.placements_per_sec" in metrics
+            assert f"sim.batch{SWEEP_MIN_LANES}.{model}.placements_per_sec" in metrics
             assert f"sim.speedup.{model}" in metrics
         assert "policy.updates_per_sec" in metrics
         assert "service.placements_per_sec" in metrics
@@ -125,16 +128,35 @@ class TestRegressionGate:
         assert check_report(jittery, baseline_path=str(base), tolerance=0.5) == []
 
     def test_min_speedup_gate(self):
-        assert check_report(_fake_report(), min_speedup=3.0) == []
-        failures = check_report(
-            _fake_report(**{SPEEDUP_GATE_METRIC: 1.5}), min_speedup=3.0
+        """The sweep-over-scalar bound holds per graph: one graph below it
+        fails the gate, naming that graph, whatever the others read."""
+        assert SPEEDUP_GATE_METRICS == tuple(
+            f"sim.speedup.{model}" for model in BENCH_MODELS
         )
-        assert len(failures) == 1 and "below the required" in failures[0]
+        assert check_report(_fake_report(), min_speedup=3.0) == []
+        for name in SPEEDUP_GATE_METRICS:
+            failures = check_report(
+                _fake_report(**{name: 1.5}), min_speedup=3.0
+            )
+            assert len(failures) == 1 and "below the required" in failures[0]
+            assert failures[0].startswith(name)
+
+    def test_sweep_losing_on_one_graph_fails_the_ci_bound(self):
+        """At the CI bound of 1.0 the gate passes when the sweep ties or
+        wins on every graph and fails when it loses on any one."""
+        ties = {name: 1.0 for name in SPEEDUP_GATE_METRICS}
+        assert check_report(_fake_report(**ties), min_speedup=1.0) == []
+        for name in SPEEDUP_GATE_METRICS:
+            loses = _fake_report(**{**ties, name: 0.95})
+            failures = check_report(loses, min_speedup=1.0)
+            assert len(failures) == 1 and failures[0].startswith(name)
 
     def test_missing_gate_metric_fails(self):
-        report = _fake_report()
-        del report["metrics"][SPEEDUP_GATE_METRIC]
-        assert check_report(report, min_speedup=3.0) != []
+        for name in SPEEDUP_GATE_METRICS:
+            report = _fake_report()
+            del report["metrics"][name]
+            failures = check_report(report, min_speedup=3.0)
+            assert failures == [f"report lacks the {name} metric"]
 
 
 @pytest.mark.slow
@@ -154,7 +176,8 @@ class TestCliExitCodes:
         ok = self._run(["--out", "out.json"], cwd=tmp_path)
         assert ok.returncode == 0, ok.stderr
         report = load_report(str(tmp_path / "out.json"))
-        assert SPEEDUP_GATE_METRIC in report["metrics"]
+        for name in SPEEDUP_GATE_METRICS:
+            assert name in report["metrics"]
 
         # An impossible baseline must flip the exit code to 1.
         impossible = {
@@ -175,7 +198,7 @@ class TestServiceLane:
     def test_service_lane_times_a_real_sweep(self, monkeypatch):
         """The service lane's batch of 64 fresh placements reaches
         SWEEP_MIN_LANES, so the server sweeps every one of them instead of
-        falling back to one scalar pool task per placement."""
+        falling back to scalar pool tasks."""
         from repro.bench.micro import _bench_service
         from repro.service.server import MeasurementServer
 

@@ -44,12 +44,12 @@ class _CrashAfter(SearchCallback):
 
 def _make_search(
     layered_graph, topology, *, chaos: bool = False, minibatch_size: int = 10,
-    num_groups: int = 6,
+    num_groups: int = 6, max_samples: int = 40,
 ):
     env = PlacementEnvironment(layered_graph, topology, seed=0)
     agent = PostAgent(layered_graph, topology.num_devices, num_groups=num_groups, seed=0)
     config = SearchConfig(
-        max_samples=40, minibatch_size=minibatch_size,
+        max_samples=max_samples, minibatch_size=minibatch_size,
         entropy_coef=0.1, entropy_coef_final=0.01,
     )
     plan = policy = None
@@ -126,8 +126,12 @@ class TestGoldenResume:
         """Minibatches of SWEEP_MIN_LANES placements are swept (by
         evaluate_batch, or by prepare_batch on the policy path) and still
         commit per placement, so a crash-and-resume lands on the
-        uninterrupted run's exact result."""
-        sized = dict(chaos=chaos, minibatch_size=SWEEP_MIN_LANES, num_groups=12)
+        uninterrupted run's exact result.  Two minibatches; the 27-op graph
+        at 12 groups yields SWEEP_MIN_LANES distinct first placements."""
+        sized = dict(
+            chaos=chaos, minibatch_size=SWEEP_MIN_LANES, num_groups=12,
+            max_samples=2 * SWEEP_MIN_LANES,
+        )
         path = str(tmp_path / "ckpt.npz")
         spy = SideSpy(monkeypatch)
         golden = _make_search(layered_graph, topology, **sized).run()

@@ -147,7 +147,7 @@ class TestHandshakeCodes:
         results, the pending-simulation table dedupes in-flight ones.
         Whatever the interleaving, simulations == distinct placements.
         Each batch sits on one side of SWEEP_MIN_LANES, so its misses run
-        one pool task each or one swept chunk."""
+        one scalar chunk per worker or one swept chunk."""
         server = MeasurementServer(multi_tenant=True, port=0, workers=2).start()
         env = _tenant_env()
         size = SWEEP_MIN_LANES if sweep else SWEEP_MIN_LANES - 1

@@ -16,15 +16,14 @@ The properties under test, per DESIGN.md's failure-mode matrix:
 import socket
 import threading
 
-import numpy as np
 import pytest
 
-from repro import MeasurementServer, PlacementEnvironment, RemoteBackend, SerialBackend
+from repro import MeasurementServer, RemoteBackend, SerialBackend
 from repro.service import protocol
 from repro.service.sessions import SessionRegistry
-from repro.sim import EvaluationFault, Topology
+from repro.sim import EvaluationFault
 
-from .test_service import _env, _graph, _placements
+from .test_service import _env, _placements
 
 
 @pytest.fixture

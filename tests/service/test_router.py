@@ -3,7 +3,6 @@ live membership (join/leave), and space migration."""
 
 import socket
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

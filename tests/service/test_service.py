@@ -106,7 +106,7 @@ class TestGoldenEquivalence:
 
     @pytest.mark.parametrize("lanes", [SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES])
     def test_sweep_rule_matches_per_placement_reference(self, server, lanes, monkeypatch):
-        """A batch's misses run one pool task each below SWEEP_MIN_LANES
+        """A batch's misses run one scalar chunk per worker below SWEEP_MIN_LANES
         and one swept chunk from it; both sides land == per-placement
         evaluation."""
         remote_env = _env(seed=3)
@@ -124,6 +124,23 @@ class TestGoldenEquivalence:
         stats = server.stats()
         assert stats["simulations"] == lanes
         assert stats["batch_lanes"] == (lanes if swept else 0)
+
+    def test_below_threshold_batch_fits_a_one_worker_backlog(self):
+        """Below SWEEP_MIN_LANES a batch's misses are dealt into one scalar
+        chunk per worker, so SWEEP_MIN_LANES - 1 fresh placements fit even
+        a 1-worker server's 32-task backlog and land == per placement."""
+        lanes = SWEEP_MIN_LANES - 1
+        with MeasurementServer(_env(seed=0), port=0, workers=1) as srv:
+            srv.start()
+            assert srv._pool.max_backlog < lanes
+            remote_env = _env(seed=3)
+            reference = PerPlacementBackend(_env(seed=3))
+            placements = _placements(remote_env, lanes, seed=5)
+            want = reference.evaluate_batch(placements)
+            with RemoteBackend(remote_env, srv.address, timeout=10.0) as remote:
+                got = remote.evaluate_batch(placements)
+            assert [m.per_step_time for m in got] == [m.per_step_time for m in want]
+            assert srv.stats()["simulations"] == lanes
 
     def test_oom_raw_survives_the_wire(self):
         tiny = Topology.default_4gpu(num_gpus=2, gpu_memory_bytes=1 << 10)

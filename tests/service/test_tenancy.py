@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from repro.graph.models.random_graphs import build_random_layered
-from repro.service.sessions import SessionRegistry
 from repro.service.tenancy import (
     SpaceLoading,
     SpaceRegistry,
     SpaceSpec,
     TenantSpace,
 )
-from repro.sim import PlacementEnvironment, Topology
+from repro.sim import Topology
 from repro.sim.cost_model import CostModel
 
 

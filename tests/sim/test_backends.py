@@ -11,6 +11,7 @@ from repro.sim import (
     make_backend,
 )
 from repro.sim import BatchSimulator, Simulator
+from repro.sim.backends import _placement_key
 from repro.sim.batch import SWEEP_MIN_LANES
 from repro.sim.environment import RawOutcome, raw_outcome
 
@@ -388,3 +389,83 @@ class TestMemoPersistence:
         assert len(reader) == 3
         assert all(reader.lookup(p) is not None for p in held)
         assert all(reader.lookup(p) is None for p in fresh)
+
+
+class TestPlacementKey:
+    """Memo keys are one byte per op, yet exact: no two distinct
+    placements share a key, and keys from the old int64 encoding only
+    miss."""
+
+    def test_compact_and_wide_encodings(self):
+        p = np.array([0, 3, 255, 1], dtype=np.int64)
+        assert _placement_key(p) == b"\x00" + bytes([0, 3, 255, 1])
+        assert _placement_key(p.tolist()) == _placement_key(p)
+        wide = np.array([0, 3, 256, 1], dtype=np.int64)
+        assert _placement_key(wide) == b"\x01" + wide.tobytes()
+        assert _placement_key([-1, 0]) == b"\x01" + np.array([-1, 0]).tobytes()
+
+    def test_no_collision_across_encodings_or_lengths(self):
+        # The int64 bytes of [257] are the uint8 bytes of [1, 1, 0, ...];
+        # the tag byte keeps the two keys apart.
+        short = np.array([257], dtype=np.int64)
+        long = np.frombuffer(short.tobytes(), dtype=np.uint8).astype(np.int64)
+        assert _placement_key(short) != _placement_key(long)
+        assert _placement_key([257, 0]) != _placement_key([1, 0])
+
+    def test_out_of_range_device_still_raises_after_a_hit(self, layered_graph, topology):
+        memo = MemoBackend(_env(layered_graph, topology))
+        p = np.zeros(layered_graph.num_ops, dtype=np.int64)
+        p[-1] = 1
+        memo.evaluate_batch([p])
+        assert memo.misses == 1
+        bad = p.copy()
+        bad[-1] = 257  # 257 & 0xff == 1
+        with pytest.raises(ValueError, match="out of range"):
+            memo.evaluate_batch([bad])
+        memo.evaluate_batch([p])
+        assert (memo.hits, memo.misses) == (1, 2)
+
+    def test_save_load_at_version_two_and_refuse_version_one(
+        self, layered_graph, topology, tmp_path
+    ):
+        import json
+
+        assert MemoBackend._PERSIST_VERSION == 2
+        writer = MemoBackend(_env(layered_graph, topology))
+        placements = _random_placements(layered_graph, topology, 4)
+        writer.evaluate_batch(placements)
+        path = tmp_path / "memo.json"
+        writer.save(str(path))
+        payload = json.loads(path.read_text())
+        assert payload["format_version"] == 2
+        assert all(len(bytes.fromhex(e[0])) == layered_graph.num_ops + 1
+                   for e in payload["entries"])
+
+        reader = MemoBackend(_env(layered_graph, topology))
+        assert reader.load(str(path)) == 4
+        reader.evaluate_batch(placements)
+        assert (reader.hits, reader.misses) == (4, 0)
+
+        payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="format version 1"):
+            MemoBackend(_env(layered_graph, topology)).load(str(path))
+
+    def test_old_int64_keys_in_a_state_dict_only_miss(self, layered_graph, topology):
+        """A checkpoint written before the compact keys holds 8n-byte keys:
+        it still loads, and its entries are never served for a placement."""
+        placements = _random_placements(layered_graph, topology, 3)
+        stale = {
+            "entries": [[np.asarray(p, dtype=np.int64).tobytes().hex(), 123.0, None]
+                        for p in placements],
+            "hits": 5,
+            "misses": 3,
+        }
+        memo = MemoBackend(_env(layered_graph, topology))
+        memo.load_state_dict(stale)
+        assert len(memo) == 3 and (memo.hits, memo.misses) == (5, 3)
+        fresh = MemoBackend(_env(layered_graph, topology)).evaluate_batch(placements)
+        got = memo.evaluate_batch(placements)
+        assert (memo.hits, memo.misses) == (5, 6)
+        assert [m.per_step_time for m in got] == [m.per_step_time for m in fresh]
+        assert all(m.per_step_time != 123.0 for m in got)

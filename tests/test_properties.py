@@ -220,11 +220,14 @@ class TestFaultPolicyProperties:
     never surfaces a corrupted (non-finite / non-positive) best time, and
     the fault accounting balances exactly."""
 
-    def _run(self, plan, inner=SerialBackend, minibatch_size=8, num_groups=4):
+    def _run(
+        self, plan, inner=SerialBackend, minibatch_size=8, num_groups=4,
+        num_layers=4, width=3,
+    ):
         from repro.core import EvaluationPolicy, PlacementSearch, PostAgent, SearchConfig
         from repro.sim import FaultInjectingBackend, PlacementEnvironment
 
-        graph = build_random_layered(num_layers=4, width=3, seed=11)
+        graph = build_random_layered(num_layers=num_layers, width=width, seed=11)
         topo = Topology.default_4gpu(num_gpus=2)
         env = PlacementEnvironment(graph, topo, seed=0, setup_time=1.0)
         agent = PostAgent(graph, topo.num_devices, num_groups=num_groups, seed=0)
@@ -271,8 +274,12 @@ class TestFaultPolicyProperties:
         """FaultInjectingBackend over a MemoBackend whose minibatches of
         SWEEP_MIN_LANES placements prepare_batch sweeps (then commits per
         placement) keeps the accounting invariant and lands on the
-        per-placement reference's exact numbers."""
-        sized = dict(minibatch_size=SWEEP_MIN_LANES, num_groups=10)
+        per-placement reference's exact numbers.  The 22-op graph at 16
+        groups yields SWEEP_MIN_LANES distinct first placements, so the
+        first minibatch sweeps."""
+        sized = dict(
+            minibatch_size=SWEEP_MIN_LANES, num_groups=16, num_layers=6, width=4
+        )
         with pytest.MonkeyPatch.context() as mp:
             spy = SideSpy(mp)
             swept, backend_swept = self._run(plan, MemoBackend, **sized)
