@@ -17,35 +17,42 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every table and figure.
 """
 
-from . import analysis, graph, sim, nn, rl, grouping, placement, core, bench, service
-from .service import MeasurementServer, RemoteBackend
-from .core import (
-    EagleAgent,
-    HierarchicalPlannerAgent,
-    PostAgent,
-    FixedGroupingSeq2SeqAgent,
-    FixedGroupingGCNAgent,
-    PlacementSearch,
-    SearchConfig,
-    SearchEngine,
-    SearchCallback,
-    ProgressPrinter,
-    EvaluationPolicy,
-    single_gpu_placement,
-    human_expert_placement,
+import importlib
+from typing import Any
+
+#: Subpackages, imported on first attribute access.
+_SUBPACKAGES = (
+    "analysis", "graph", "sim", "nn", "rl", "grouping", "placement", "core", "bench", "service",
 )
-from .sim import (
-    PlacementEnvironment,
-    Topology,
-    Simulator,
-    CostModel,
-    SerialBackend,
-    MemoBackend,
-    make_backend,
-    EvaluationFault,
-    FaultPlan,
-    FaultInjectingBackend,
-)
+
+#: Re-exported name -> the module that defines it.
+_EXPORTS = {
+    "MeasurementServer": ".service",
+    "RemoteBackend": ".service",
+    "EagleAgent": ".core",
+    "HierarchicalPlannerAgent": ".core",
+    "PostAgent": ".core",
+    "FixedGroupingSeq2SeqAgent": ".core",
+    "FixedGroupingGCNAgent": ".core",
+    "PlacementSearch": ".core",
+    "SearchConfig": ".core",
+    "SearchEngine": ".core",
+    "SearchCallback": ".core",
+    "ProgressPrinter": ".core",
+    "EvaluationPolicy": ".core",
+    "single_gpu_placement": ".core",
+    "human_expert_placement": ".core",
+    "PlacementEnvironment": ".sim",
+    "Topology": ".sim",
+    "Simulator": ".sim",
+    "CostModel": ".sim",
+    "SerialBackend": ".sim",
+    "MemoBackend": ".sim",
+    "make_backend": ".sim",
+    "EvaluationFault": ".sim",
+    "FaultPlan": ".sim",
+    "FaultInjectingBackend": ".sim",
+}
 
 __version__ = "1.0.0"
 
@@ -87,3 +94,16 @@ __all__ = [
     "RemoteBackend",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    # PEP 562: import a re-export's module on first use, so importing one
+    # submodule does not import the whole package.
+    if name in _SUBPACKAGES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -351,24 +351,22 @@ class RemoteBackend:
             )
         return EvaluationFault(f"measurement service connection failed: {exc}", kind="crash")
 
-    def _fetch_raws(self, placements: Sequence[np.ndarray]) -> List[RawOutcome]:
-        """Raw outcomes for ``placements``, in submission order.
+    def _fetch_raws(self, keys: Sequence[bytes]) -> List[RawOutcome]:
+        """Raw outcomes for the placements with memo keys ``keys``, in
+        submission order.
 
         Duplicates within the batch are requested once — a raw outcome is
         deterministic, so one fetch serves every occurrence (and the server
-        pool never races the same placement against itself).
+        pool never races the same placement against itself).  Every
+        placement is encoded before any I/O, so one that no wire string
+        can carry raises :class:`ValueError` without touching the server.
         """
-        keys = [_placement_key(p) for p in placements]
-        unique: Dict[bytes, int] = {}
-        send: List[np.ndarray] = []
-        for key, placement in zip(keys, placements):
-            if key not in unique:
-                unique[key] = len(send)
-                send.append(placement)
-        fetched = self._fetch_unique(send)
-        return [fetched[unique[key]] for key in keys]
+        unique = dict.fromkeys(keys)
+        fetched = self._fetch_unique([protocol.encode_placement(key) for key in unique])
+        by_key = dict(zip(unique, fetched))
+        return [by_key[key] for key in keys]
 
-    def _fetch_unique(self, placements: Sequence[np.ndarray]) -> List[RawOutcome]:
+    def _fetch_unique(self, placements: List[str]) -> List[RawOutcome]:
         """A ticketed ``evaluate_batch``, reconnecting across broken links.
 
         The batch id is allocated once; every wire attempt re-sends it, so
@@ -404,7 +402,7 @@ class RemoteBackend:
         raise fault
 
     def _fetch_on(
-        self, conn: _Connection, placements: Sequence[np.ndarray], batch_id: int
+        self, conn: _Connection, placements: List[str], batch_id: int
     ) -> List[RawOutcome]:
         """One ``evaluate_batch`` RPC on ``conn``; raws in submission order.
 
@@ -414,7 +412,7 @@ class RemoteBackend:
         """
         request = {
             "op": "evaluate_batch",
-            "placements": protocol.encode_placements(placements),
+            "placements": placements,
             "batch": batch_id,
         }
         try:
@@ -484,20 +482,13 @@ class RemoteBackend:
         fault leaves the local RNG stream and clock exactly where they
         were — the engine can retry without perturbing determinism.
         """
-        pending: List[Optional[RawOutcome]] = []
-        missing: List[np.ndarray] = []
-        missing_at: List[int] = []
-        for i, placement in enumerate(placements):
-            raw = self._prefetched.get(_placement_key(placement))
-            if raw is not None:
-                self.num_prefetch_hits += 1
-                pending.append(raw)
-            else:
-                pending.append(None)
-                missing.append(placement)
-                missing_at.append(i)
-        if missing:
-            for slot, raw in zip(missing_at, self._fetch_raws(missing)):
+        keys = [_placement_key(p) for p in placements]
+        pending = [self._prefetched.get(key) for key in keys]
+        missing_at = [i for i, raw in enumerate(pending) if raw is None]
+        self.num_prefetch_hits += len(keys) - len(missing_at)
+        if missing_at:
+            fetched = self._fetch_raws([keys[i] for i in missing_at])
+            for slot, raw in zip(missing_at, fetched):
                 pending[slot] = raw
         return [self.environment.commit(raw) for raw in pending]
 
@@ -515,13 +506,12 @@ class RemoteBackend:
         self._prefetched.clear()
         if not placements:
             return
+        keys = [_placement_key(p) for p in placements]
         try:
-            raws = self._fetch_raws(placements)
+            raws = self._fetch_raws(keys)
         except (EvaluationFault, ProtocolError):
             return
-        self._prefetched = {
-            _placement_key(p): raw for p, raw in zip(placements, raws)
-        }
+        self._prefetched = dict(zip(keys, raws))
 
     def close(self) -> None:
         with self._lock:

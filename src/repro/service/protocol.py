@@ -8,7 +8,7 @@ session is human-readable.
 
 Session layout::
 
-    client → server   {"op": "hello", "version": 4, "min_version": 4,
+    client → server   {"op": "hello", "version": 5, "min_version": 5,
                        "fingerprint": "...", "space": {...}}   # space optional
     server → client   {"ok": true, "server": {...}, "session": "s1"}
                       # or error + "code" + close
@@ -19,8 +19,8 @@ Session layout::
     client → server   {"op": "resume", "session": "s1"}
     server → client   {"ok": true, "session": "s1", "retained": [4, 5]}
 
-    client → server   {"op": "evaluate_batch", "placements": [[...], ...],
-                       "batch": 5}
+    client → server   {"op": "evaluate_batch", "placements": ["0121…", ...],
+                       "batch": 5}            # one char per op, see below
     server → client   {"ok": true, "tickets": [0, 1, ...]}
     server → client   {"ok": true, "ticket": 1, "raw": {...}, "cached": true}
     server → client   {"ok": true, "ticket": 0, "error":
@@ -80,7 +80,10 @@ Versioning: a server speaks exactly :data:`PROTOCOL_VERSION`.  The
 client offers the range ``[min_version, version]`` it can speak; the
 server accepts the handshake only if that range contains its version,
 which it echoes in ``server["version"]``.  Every client of this build
-offers ``[PROTOCOL_VERSION, PROTOCOL_VERSION]``.
+offers ``[PROTOCOL_VERSION, PROTOCOL_VERSION]``.  History: v2 added
+sessions and replay, v3 multi-tenancy, v4 made ``evaluate_batch`` the one
+(batch-tagged) measurement op, and v5 replaced its lists of ints with one
+char per op, which the server decodes to a memo key without numpy.
 
 Sessions and replay: every handshake creates a server-side *session*
 (id in the hello reply).  The server retains the results of recently
@@ -91,6 +94,17 @@ client that loses its connection mid-batch reconnects, re-attaches with
 retained ticket results (and attaches to still-running simulations)
 instead of re-simulating, making evaluation at-most-once across
 connection failures.
+
+Placements: each entry of ``placements`` is a string with one char per
+op, ``chr(0x30 + device)`` (:func:`encode_placement`).  Devices 0–79 are
+ASCII chars, one byte each on the wire (JSON escapes device 44, ``\\``,
+and 79, DEL, but they stay exact).  Larger devices are ``\\u``-escaped and
+stay exact too; their code points skip the UTF-16 surrogate block.  The
+server turns a string straight into its memo key
+(:func:`decode_placement`), so a memo hit never builds an array.  A
+string of the wrong length, a non-string or a char below ``'0'`` is
+refused with ``kind: "protocol"``.  The length of a placement string is
+its graph's op count.
 
 Only *raw* outcomes cross the wire (:class:`~repro.sim.environment.RawOutcome`:
 the noiseless makespan or the OOM detail).  Measurement noise and the
@@ -104,10 +118,9 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Any, Dict, Optional, Tuple
 
-import numpy as np
-
+from ..sim.backends import _key_placement, _placement_key
 from ..sim.environment import RawOutcome
 
 __all__ = [
@@ -125,8 +138,9 @@ __all__ = [
     "write_message",
     "encode_raw",
     "decode_raw",
+    "MAX_DEVICE",
+    "encode_placement",
     "decode_placement",
-    "encode_placements",
     "error_message",
 ]
 
@@ -135,8 +149,9 @@ __all__ = [
 #: backpressure/drain error kinds.  v3 adds multi-tenancy: the ``space``
 #: spec offer in ``hello``, structured handshake rejection ``code``s, and
 #: the ``spaces`` op.  v4 removes the scalar ``evaluate`` op and makes the
-#: ``batch`` id of ``evaluate_batch`` mandatory.
-PROTOCOL_VERSION = 4
+#: ``batch`` id of ``evaluate_batch`` mandatory.  v5 sends each placement
+#: as a string of one char per op instead of a list of ints.
+PROTOCOL_VERSION = 5
 
 #: Cap on one serialised message (a placement line for a ~100k-op graph is
 #: well under this); keeps a garbage peer from ballooning server memory.
@@ -322,22 +337,87 @@ def decode_raw(data: Dict[str, Any]) -> RawOutcome:
     return RawOutcome(base_time, oom_detail)
 
 
-def decode_placement(data: Sequence[int], num_ops: int) -> np.ndarray:
-    """A JSON placement list as the int64 array the simulator expects."""
-    placement = np.asarray(data, dtype=np.int64)
-    if placement.ndim != 1 or placement.shape[0] != num_ops:
-        raise ProtocolError(
-            f"placement must be a flat list of {num_ops} device ids, "
-            f"got shape {placement.shape}"
+#: Devices 0–79 travel as the ASCII bytes ``'0'``–``'\x7f'``: a key's body
+#: byte ``b`` becomes ``b + 0x30``.  A byte of 80 or more maps to ``0xff``,
+#: which is not ASCII, so decoding the result fails and sends the placement
+#: down the exact wide path.
+_UP = bytes(b + 0x30 if b < 80 else 0xFF for b in range(256))
+#: The inverse on the server: an ASCII char ``c >= '0'`` is device ``c - 0x30``.
+_DOWN = bytes((b - 0x30) & 0xFF for b in range(256))
+#: Chars below ``'0'`` carry no device.
+_BELOW_ZERO = bytes(range(0x30))
+#: Above the ASCII range a device is the code point ``d + 0x30``, shifted
+#: past the UTF-16 surrogate block (a lone surrogate does not survive JSON:
+#: two adjacent ones come back as one char).
+_SURROGATES, _SURROGATE_SPAN = 0xD800, 0x800
+#: The largest device a placement string can carry.
+MAX_DEVICE = 0x10FFFF - 0x30 - _SURROGATE_SPAN
+
+
+def _device_char(device: int) -> str:
+    if not 0 <= device <= MAX_DEVICE:
+        raise ValueError(
+            f"device {device} cannot travel in a placement string "
+            f"(devices must be in [0, {MAX_DEVICE}])"
         )
-    return placement
+    point = device + 0x30
+    return chr(point if point < _SURROGATES else point + _SURROGATE_SPAN)
+
+
+def _char_device(char: str) -> int:
+    point = ord(char)
+    if point >= _SURROGATES + _SURROGATE_SPAN:
+        return point - 0x30 - _SURROGATE_SPAN
+    if point >= _SURROGATES:
+        raise ProtocolError(f"placement char U+{point:04X} carries no device")
+    return point - 0x30
+
+
+def encode_placement(key: bytes) -> str:
+    """The wire string of a placement, from its memo key
+    (:func:`~repro.sim.backends._placement_key`): one char per op.
+
+    Devices 0–79 are one ASCII byte each, so the common placement costs
+    one ``bytes.translate``.  Larger devices take an exact slow path.  A
+    negative device, or one above :data:`MAX_DEVICE`, raises
+    :class:`ValueError`: no char carries it.
+    """
+    if key[:1] == b"\x00":
+        try:
+            return key[1:].translate(_UP).decode("ascii")
+        except UnicodeDecodeError:
+            pass
+    return "".join(map(_device_char, _key_placement(key).tolist()))
+
+
+def decode_placement(text: Any, num_ops: int) -> bytes:
+    """The memo key of a wire placement string (see :func:`encode_placement`).
+
+    Returns exactly ``_placement_key`` of the placement the client sent,
+    without numpy on the ASCII path.  Anything but a string of ``num_ops``
+    chars, each at least ``'0'``, is a :class:`ProtocolError`.  Device
+    ranges are not checked here: an out-of-range device reaches the
+    simulator, which raises.
+    """
+    if not isinstance(text, str):
+        raise ProtocolError(
+            f"placement must be a string, got {type(text).__name__}"
+        )
+    try:
+        body = text.encode("ascii").translate(_DOWN, _BELOW_ZERO)
+    except UnicodeEncodeError:
+        devices = [_char_device(char) for char in text]
+        if len(devices) == num_ops and min(devices, default=0) >= 0:
+            return _placement_key(devices)
+    else:
+        if len(body) == num_ops == len(text):
+            return b"\x00" + body
+    raise ProtocolError(
+        f"placement must be {num_ops} chars, each at least '0', "
+        f"got {len(text)} chars"
+    )
 
 
 def error_message(message: str, kind: str = "protocol") -> Dict[str, Any]:
     """A ``{"ok": false}`` response line."""
     return {"ok": False, "error": message, "kind": kind}
-
-
-def encode_placements(placements: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Placements as JSON-ready lists of ints."""
-    return [np.asarray(p, dtype=np.int64).tolist() for p in placements]

@@ -77,7 +77,7 @@ from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.events import MetricsExporter
-from ..sim.backends import _placement_key
+from ..sim.backends import _key_placement
 from ..sim.batch import SWEEP_MIN_LANES, BatchSimulator
 from ..sim.environment import PlacementEnvironment, RawOutcome
 from ..sim.simulator import Simulator
@@ -96,11 +96,11 @@ __all__ = ["MeasurementServer"]
 _SIMULATORS_PER_WORKER = 8
 
 
-def _placements_digest(decoded: Sequence) -> str:
-    """Content digest identifying a batch's placements (replay guard)."""
+def _placements_digest(keys: Sequence[bytes]) -> str:
+    """Content digest identifying a batch's placement keys (replay guard)."""
     hasher = hashlib.sha256()
-    for placement in decoded:
-        hasher.update(placement.tobytes())
+    for key in keys:
+        hasher.update(key)
     return hasher.hexdigest()
 
 
@@ -462,12 +462,10 @@ class _Handler(socketserver.StreamRequestHandler):
         if not isinstance(placements, list):
             self._reply(protocol.error_message("placements must be a list"))
             return True
+        num_ops = space.environment.graph.num_ops
         try:
-            decoded = [
-                protocol.decode_placement(p, space.environment.graph.num_ops)
-                for p in placements
-            ]
-        except (ProtocolError, TypeError, ValueError) as exc:
+            keys = [protocol.decode_placement(p, num_ops) for p in placements]
+        except ProtocolError as exc:
             self._reply(protocol.error_message(f"bad placement: {exc}"))
             return True
         batch_id = request.get("batch")
@@ -479,7 +477,7 @@ class _Handler(socketserver.StreamRequestHandler):
         session = self.session
         assert session is not None
         record, created = session.get_or_add(
-            batch_id, len(decoded), _placements_digest(decoded)
+            batch_id, len(keys), _placements_digest(keys)
         )
         if service.draining.is_set() and created:
             session.discard(batch_id)
@@ -491,17 +489,17 @@ class _Handler(socketserver.StreamRequestHandler):
             return True
         # Tickets already resolved before this request attach as replays.
         already = {} if created else record.snapshot()
-        pending: List[Tuple[int, Any]] = []
+        pending: List[Tuple[int, bytes]] = []
         if created:
-            pending = list(enumerate(decoded))
+            pending = list(enumerate(keys))
         elif record.orphaned and not record.complete:
             # Restored from disk: the missing tickets' futures died with
             # the previous process.  Resubmit exactly those — recorded
             # tickets replay verbatim, so the batch stays at-most-once
             # across the restart.
             pending = [
-                (ticket, decoded[ticket])
-                for ticket in range(len(decoded))
+                (ticket, keys[ticket])
+                for ticket in range(len(keys))
                 if ticket not in already
             ]
             service.metrics.inc(
@@ -519,7 +517,7 @@ class _Handler(socketserver.StreamRequestHandler):
             record.orphaned = False
         if already:
             service.metrics.inc("repro_service_replayed_total", float(len(already)))
-        self._reply({"ok": True, "tickets": list(range(len(decoded)))})
+        self._reply({"ok": True, "tickets": list(range(len(keys)))})
         keep = self._stream_results(record, already)
         # Batches resolved purely from the memo never ran a done-callback,
         # so persist here as well — both paths are idempotent writes.
@@ -527,7 +525,7 @@ class _Handler(socketserver.StreamRequestHandler):
         return keep
 
     def _submit_into(
-        self, space: TenantSpace, record: BatchRecord, pending: List[Tuple[int, Any]]
+        self, space: TenantSpace, record: BatchRecord, pending: List[Tuple[int, bytes]]
     ) -> None:
         """Resolve cache hits into the record; submit misses to the pool.
 
@@ -546,21 +544,20 @@ class _Handler(socketserver.StreamRequestHandler):
         service = self.service
         hits: List[Tuple[int, Any]] = []
         followers: List[Tuple[int, Future]] = []
-        leaders: List[Tuple[int, Any, Future]] = []
+        leaders: List[Tuple[int, bytes, Future]] = []
         with service._memo_lock:
-            for ticket, placement in pending:
-                raw = space.memo.lookup(placement)
+            for ticket, key in pending:
+                raw = space.memo.lookup(key)
                 if raw is not None:
                     hits.append((ticket, raw))
                     continue
-                key = (space.fingerprint, _placement_key(placement))
-                inflight = service._pending_sims.get(key)
+                inflight = service._pending_sims.get((space.fingerprint, key))
                 if inflight is not None:
                     followers.append((ticket, inflight))
                 else:
                     adapter: Future = Future()
-                    service._pending_sims[key] = adapter
-                    leaders.append((ticket, placement, adapter))
+                    service._pending_sims[(space.fingerprint, key)] = adapter
+                    leaders.append((ticket, key, adapter))
         for ticket, raw in hits:
             record.store(ticket, {"raw": protocol.encode_raw(raw), "cached": True})
         lanes = len(leaders) + len(followers)
@@ -586,13 +583,13 @@ class _Handler(socketserver.StreamRequestHandler):
                 else:
                     ways = min(len(leaders), service.workers)
                     chunks = [leaders[i::ways] for i in range(ways)]
-                placements = [[p for _, p, _ in chunk] for chunk in chunks]
+                keys = [[key for _, key, _ in chunk] for chunk in chunks]
                 futures = service._pool.submit_many(
-                    [(service._simulate_chunk, space, ps) for ps in placements]
+                    [(service._simulate_chunk, space, ks) for ks in keys]
                 )
-                for chunk, ps, future in zip(chunks, placements, futures):
+                for chunk, ks, future in zip(chunks, keys, futures):
                     service._chain_chunk(
-                        space, ps, [adapter for _, _, adapter in chunk], future
+                        space, ks, [adapter for _, _, adapter in chunk], future
                     )
         except PoolBusy as exc:
             if admitted:
@@ -932,8 +929,9 @@ class MeasurementServer:
             batches[space.fingerprint] = batch
         return batch
 
-    def _simulate_chunk(self, space: TenantSpace, placements: List) -> List[RawOutcome]:
-        """Worker-pool task: simulate a chunk of cache misses + cache insert.
+    def _simulate_chunk(self, space: TenantSpace, keys: List[bytes]) -> List[RawOutcome]:
+        """Worker-pool task: simulate a chunk of cache misses (given by their
+        placement keys) + cache insert.
 
         :meth:`BatchSimulator.raw_outcomes` sweeps a chunk of at least
         :data:`~repro.sim.batch.SWEEP_MIN_LANES` placements and runs the
@@ -942,20 +940,21 @@ class MeasurementServer:
         :attr:`num_simulations` does not depend on the chunking;
         :attr:`batch_lanes` counts the swept ones.
         """
+        placements = [_key_placement(key) for key in keys]
         raws = self._worker_batch_simulator(space).raw_outcomes(placements)
         with self._memo_lock:
-            self.num_simulations += len(placements)
-            space.num_simulations += len(placements)
-            if len(placements) >= SWEEP_MIN_LANES:
-                self.batch_lanes += len(placements)
-            for placement, raw in zip(placements, raws):
-                space.memo.insert(placement, raw)
+            self.num_simulations += len(keys)
+            space.num_simulations += len(keys)
+            if len(keys) >= SWEEP_MIN_LANES:
+                self.batch_lanes += len(keys)
+            for key, raw in zip(keys, raws):
+                space.memo.insert(key, raw)
         return raws
 
     def _chain_chunk(
         self,
         space: TenantSpace,
-        placements: List,
+        keys: List[bytes],
         adapters: List[Future],
         future: Future,
     ) -> None:
@@ -966,13 +965,11 @@ class MeasurementServer:
         placement in the memo or the pending table — never in neither.  A
         chunk failure fails every adapter: they share one worker, so they
         share its fate."""
-        keys = [(space.fingerprint, _placement_key(p)) for p in placements]
-
         def _resolve(done: Future) -> None:
             exc = done.exception()
             with self._memo_lock:
                 for key in keys:
-                    self._pending_sims.pop(key, None)
+                    self._pending_sims.pop((space.fingerprint, key), None)
             if exc is not None:
                 for adapter in adapters:
                     adapter.set_exception(exc)
@@ -985,7 +982,7 @@ class MeasurementServer:
     def _abandon_pending(
         self,
         space: TenantSpace,
-        leaders: List[Tuple[int, Any, Future]],
+        leaders: List[Tuple[int, bytes, Future]],
         exc: BaseException,
     ) -> None:
         """Failed admission: retire the adapters this request registered.
@@ -993,10 +990,8 @@ class MeasurementServer:
         admission error (recorded as a fault; the client's policy
         retries) instead of waiting on a simulation that never ran."""
         with self._memo_lock:
-            for _, placement, _ in leaders:
-                self._pending_sims.pop(
-                    (space.fingerprint, _placement_key(placement)), None
-                )
+            for _, key, _ in leaders:
+                self._pending_sims.pop((space.fingerprint, key), None)
         for _, _, adapter in leaders:
             adapter.set_exception(exc)
 

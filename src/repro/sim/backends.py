@@ -117,6 +117,13 @@ def _placement_key(placement: Sequence[int]) -> bytes:
     return b"\x00" + a.astype(np.uint8).tobytes()
 
 
+def _key_placement(key: bytes) -> np.ndarray:
+    """The int64 placement a :func:`_placement_key` key was made from."""
+    if key[:1] == b"\x00":
+        return np.frombuffer(key, np.uint8, offset=1).astype(np.int64)
+    return np.frombuffer(key, np.int64, offset=1).copy()
+
+
 class MemoBackend:
     """Memoises the deterministic simulator outcome per placement.
 
@@ -161,9 +168,9 @@ class MemoBackend:
     # ------------------------------------------------------------------ #
     # Cache primitives (no environment commit — the measurement service,
     # which commits client-side, uses them directly).
-    def lookup(self, placement: Sequence[int]) -> Optional[RawOutcome]:
-        """Cached raw outcome for ``placement``, counting a hit or a miss."""
-        key = _placement_key(placement)
+    def lookup(self, key: bytes) -> Optional[RawOutcome]:
+        """Cached raw outcome under the placement key ``key`` (see
+        :func:`_placement_key`), counting a hit or a miss."""
         raw = self._store.get(key)
         if raw is None:
             self.misses += 1
@@ -172,9 +179,10 @@ class MemoBackend:
         self._store.move_to_end(key)
         return raw
 
-    def insert(self, placement: Sequence[int], raw: RawOutcome) -> None:
-        """Store ``raw`` for ``placement``, evicting LRU past ``max_entries``."""
-        self._store[_placement_key(placement)] = raw.without_breakdown()
+    def insert(self, key: bytes, raw: RawOutcome) -> None:
+        """Store ``raw`` under the placement key ``key``, evicting LRU past
+        ``max_entries``."""
+        self._store[key] = raw.without_breakdown()
         if self.max_entries is not None and len(self._store) > self.max_entries:
             self._store.popitem(last=False)
 
@@ -188,16 +196,15 @@ class MemoBackend:
         per-placement evaluations run anyway, and warming them early would
         only relabel their misses as hits.
         """
-        seen: Dict[bytes, None] = {}
-        missing: List[np.ndarray] = []
+        missing: Dict[bytes, np.ndarray] = {}
         for p in placements:
             key = _placement_key(p)
-            if key not in self._store and key not in seen:
-                seen[key] = None
-                missing.append(p)
+            if key not in self._store and key not in missing:
+                missing[key] = p
         if len(missing) >= SWEEP_MIN_LANES:
-            for p, raw in zip(missing, self._batch.raw_outcomes(missing)):
-                self.insert(p, raw)
+            raws = self._batch.raw_outcomes(list(missing.values()))
+            for key, raw in zip(missing, raws):
+                self.insert(key, raw)
 
     def _raws(self, placements: Sequence[np.ndarray]) -> List[RawOutcome]:
         """The deterministic outcome of each placement, from cache or fresh.
@@ -230,8 +237,8 @@ class MemoBackend:
         if not missing:
             return found
         fresh = self._batch.raw_outcomes(missing)
-        for p, raw in zip(missing, fresh):
-            self.insert(p, raw)
+        for key, raw in zip(pending, fresh):
+            self.insert(key, raw)
         return [
             raw if raw is not None else fresh[pending[key]]
             for key, raw in zip(keys, found)

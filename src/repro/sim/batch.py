@@ -167,9 +167,9 @@ class BatchSimulator:
         if P.size and (P.min() < 0 or P.max() >= self.num_devices):
             raise ValueError(f"device index out of range [0, {self.num_devices})")
         P = P.copy()
+        P[:, sim._cpu_only] = sim._cpu_idx
         if sim._colo_member.size:
             P[:, sim._colo_member] = P[:, sim._colo_leader]
-        P[:, sim._cpu_only] = sim._cpu_idx
         return P
 
     def memory_usage_batch(self, P: np.ndarray) -> np.ndarray:

@@ -124,13 +124,17 @@ class Simulator:
         self._cpu_idx = topology.cpu_indices()[0] if topology.cpu_indices() else 0
         # Colocation groups: (leader_ids, member_ids) pairs so members can be
         # snapped to their leader's device in one fancy-indexing assignment.
+        # A cpu-only member is pinned to the CPU whatever its leader does,
+        # so only the other members are snapped.
         colo: Dict[str, List[int]] = {}
         for node in nodes:
             if node.colocation_group is not None:
                 colo.setdefault(node.colocation_group, []).append(node.op_id)
-        members = [ids for ids in colo.values() if len(ids) > 1]
-        self._colo_leader = np.array([ids[0] for ids in members for _ in ids[1:]], dtype=np.int64)
-        self._colo_member = np.array([m for ids in members for m in ids[1:]], dtype=np.int64)
+        pairs = [
+            (ids[0], m) for ids in colo.values() for m in ids[1:] if not nodes[m].cpu_only
+        ]
+        self._colo_leader = np.array([lead for lead, _ in pairs], dtype=np.int64)
+        self._colo_member = np.array([m for _, m in pairs], dtype=np.int64)
         # Link parameters for every ordered device pair.
         self._latency = np.zeros((d, d))
         self._inv_bw = np.zeros((d, d))
@@ -166,11 +170,13 @@ class Simulator:
             raise ValueError(f"placement must assign all {self.graph.num_ops} ops, got shape {p.shape}")
         if p.size and (p.min() < 0 or p.max() >= self.num_devices):
             raise ValueError(f"device index out of range [0, {self.num_devices})")
-        # Colocation snap first, then the CPU pin: an op that is both
-        # colocated and cpu-only must end on the CPU.
+        # The CPU pin first, then the colocation snap: a member follows
+        # where its leader runs, so the result is a fixed point.  Cpu-only
+        # members are not snapped (see ``_colo_member``), so an op that is
+        # both colocated and cpu-only ends on the CPU.
+        p[self._cpu_only] = self._cpu_idx
         if self._colo_member.size:
             p[self._colo_member] = p[self._colo_leader]
-        p[self._cpu_only] = self._cpu_idx
         return p
 
     def memory_usage(self, placement: Sequence[int]) -> np.ndarray:

@@ -23,7 +23,7 @@ from repro.service import protocol
 from repro.service.sessions import SessionRegistry
 from repro.sim import EvaluationFault
 
-from .test_service import _env, _placements
+from .test_service import _env, _placements, _wire
 
 
 @pytest.fixture
@@ -69,7 +69,7 @@ class _RawClient:
     def submit_batch(self, placements, batch_id):
         reply = self.request({
             "op": "evaluate_batch",
-            "placements": protocol.encode_placements(placements),
+            "placements": _wire(placements),
             "batch": batch_id,
         })
         assert reply["ok"], reply
@@ -138,7 +138,7 @@ class TestReplay:
         # Submit, read the ticket reply, then vanish before any result.
         reply = first.request({
             "op": "evaluate_batch",
-            "placements": protocol.encode_placements(placements),
+            "placements": _wire(placements),
             "batch": 7,
         })
         assert reply["ok"]

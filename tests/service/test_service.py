@@ -27,6 +27,7 @@ from repro.graph.models import build_random_layered
 from repro.service import protocol
 from repro.service.protocol import HandshakeError, ProtocolError
 from repro.sim import EvaluationFault, Topology
+from repro.sim.backends import _placement_key
 from repro.sim.batch import SWEEP_MIN_LANES
 from repro.sim.environment import RawOutcome
 
@@ -53,6 +54,11 @@ def _placements(env, n, seed=0):
     ]
 
 
+def _wire(placements):
+    """Placements as the strings an ``evaluate_batch`` request carries."""
+    return [protocol.encode_placement(_placement_key(p)) for p in placements]
+
+
 @pytest.fixture
 def server():
     srv = MeasurementServer(_env(seed=99), port=0, workers=2).start()
@@ -74,10 +80,12 @@ class TestProtocol:
         assert json.loads(json.dumps(encoded)) == encoded
 
     def test_decode_placement_validates_shape(self):
-        with pytest.raises(ProtocolError, match="flat list of 4"):
-            protocol.decode_placement([0, 1], num_ops=4)
-        out = protocol.decode_placement([0, 1, 0, 1], num_ops=4)
-        assert out.dtype == np.int64 and out.tolist() == [0, 1, 0, 1]
+        with pytest.raises(ProtocolError, match="must be 4 chars"):
+            protocol.decode_placement("01", num_ops=4)
+        with pytest.raises(ProtocolError, match="must be a string"):
+            protocol.decode_placement([0, 1, 0, 1], num_ops=4)
+        key = protocol.decode_placement("0101", num_ops=4)
+        assert key == _placement_key([0, 1, 0, 1]) == b"\x00\x00\x01\x00\x01"
 
     def test_decode_raw_rejects_junk(self):
         with pytest.raises(ProtocolError):
@@ -367,7 +375,7 @@ class TestHandshake:
         )
         try:
             assert reply["ok"] is True
-            placements = protocol.encode_placements(_placements(_env(), 2))
+            placements = _wire(_placements(_env(), 2))
             for batch in (None, "7"):
                 request = {"op": "evaluate_batch", "placements": placements}
                 if batch is not None:

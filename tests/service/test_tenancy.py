@@ -14,6 +14,7 @@ from repro.service.tenancy import (
     TenantSpace,
 )
 from repro.sim import Topology
+from repro.sim.backends import _placement_key
 from repro.sim.cost_model import CostModel
 
 
@@ -141,7 +142,7 @@ class TestRegistryDurability:
         space = reg.add(spec, now=0.0)
         placement = np.zeros(spec.graph.num_ops, dtype=np.int64)
         raw = space.environment.simulate_raw(placement)
-        space.memo.insert(placement, raw)
+        space.memo.insert(_placement_key(placement), raw)
         session = space.sessions.create(0.0)
         assert reg.evict(spec.fingerprint)
 
@@ -149,7 +150,7 @@ class TestRegistryDurability:
         assert reloaded is not None
         assert reloaded is not space
         assert len(reloaded.memo) == 1
-        assert reloaded.memo.lookup(placement) is not None
+        assert reloaded.memo.lookup(_placement_key(placement)) is not None
         assert reloaded.sessions.resume(session.id, 1.0) is not None
 
     def test_session_ids_never_reissued_after_restart(self, tmp_path):

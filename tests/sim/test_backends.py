@@ -322,7 +322,7 @@ class TestMemoPersistence:
         assert reader.hits == 5 and reader.misses == 0
         # loaded raws are the exact simulator outcomes, not approximations
         for p in placements:
-            assert reader.lookup(p) == writer.lookup(p)
+            assert reader.lookup(_placement_key(p)) == writer.lookup(_placement_key(p))
 
     def test_oom_entries_survive_the_roundtrip(self, layered_graph, tmp_path):
         topology = _tiny_gpu_topology()
@@ -334,8 +334,8 @@ class TestMemoPersistence:
 
         reader = MemoBackend(_env(layered_graph, topology))
         reader.load(path)
-        raw = reader.lookup(p)
-        assert raw.is_oom and raw.oom_detail == writer.lookup(p).oom_detail
+        raw = reader.lookup(_placement_key(p))
+        assert raw.is_oom and raw.oom_detail == writer.lookup(_placement_key(p)).oom_detail
 
     def test_load_refuses_fingerprint_mismatch(self, layered_graph, topology, tmp_path):
         from repro.graph.models import build_random_layered
@@ -389,8 +389,8 @@ class TestMemoPersistence:
         with pytest.warns(RuntimeWarning, match="corrupt entries"):
             assert reader.load(str(path)) == 0
         assert len(reader) == 3
-        assert all(reader.lookup(p) is not None for p in held)
-        assert all(reader.lookup(p) is None for p in fresh)
+        assert all(reader.lookup(_placement_key(p)) is not None for p in held)
+        assert all(reader.lookup(_placement_key(p)) is None for p in fresh)
 
 
 class TestPlacementKey:

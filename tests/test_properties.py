@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.graph import OpGraph
 from repro.graph.models import build_random_layered
 from repro.graph.training import expand_training_graph
 from repro.grouping import cut_cost, partition_kway
@@ -137,6 +138,40 @@ class TestSimulatorProperties:
         sim = Simulator(graph, topo)
         bd = sim.simulate(np.zeros(graph.num_ops, dtype=np.int64))
         assert bd.comm_bytes == 0.0
+
+
+@st.composite
+def colocated_graph_strategy(draw):
+    """A chain whose ops fall into random colocation groups, some cpu-only,
+    so leaders and members disagree about the CPU in every mix."""
+    n = draw(st.integers(1, 12))
+    groups = draw(st.lists(st.sampled_from([None, "a", "b", "c"]), min_size=n, max_size=n))
+    cpu_only = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    graph = OpGraph("colocated")
+    for i in range(n):
+        graph.add_op(f"op{i}", "MatMul", (4,), flops=1e3, cpu_only=cpu_only[i],
+                     colocation_group=groups[i], inputs=[f"op{i - 1}"] if i else ())
+    return graph
+
+
+class TestNormalizationProperties:
+    @given(graph=colocated_graph_strategy(), seed=st.integers(0, 1000))
+    @settings(max_examples=200, deadline=None)
+    def test_normalize_is_a_fixed_point(self, graph, seed):
+        sim = Simulator(graph, Topology.default_4gpu(num_gpus=3))
+        p = np.random.default_rng(seed).integers(0, sim.num_devices, size=graph.num_ops)
+        once = sim.normalize_placement(p)
+        assert np.array_equal(sim.normalize_placement(once), once)
+        assert np.array_equal(BatchSimulator(sim).normalize_batch([p])[0], once)
+        # Cpu-only ops run on the CPU; every other member runs with its leader.
+        assert (once[sim._cpu_only] == sim._cpu_idx).all()
+        groups = {}
+        for node in graph.nodes():
+            if node.colocation_group is not None:
+                groups.setdefault(node.colocation_group, []).append(node.op_id)
+        for leader, *members in groups.values():
+            followers = [m for m in members if not sim._cpu_only[m]]
+            assert (once[followers] == once[leader]).all()
 
 
 class TestBatchSimulatorProperties:
