@@ -89,10 +89,7 @@ class FeedForwardGrouper(Module, Grouper):
         """Differentiable factored log-probs, shape ``(B, num_ops)``."""
         assignments = np.asarray(assignments, dtype=np.int64)
         logp = log_softmax(self.logits(features), axis=-1)  # (n, G)
-        b, n = assignments.shape
-        onehot = np.zeros((b, n, self.num_groups))
-        onehot[np.arange(b)[:, None], np.arange(n)[None, :], assignments] = 1.0
-        return (logp.reshape(1, n, self.num_groups) * Tensor(onehot)).sum(axis=2)
+        return logp[np.arange(assignments.shape[1]), assignments]
 
     def entropy(self, features: np.ndarray) -> Tensor:
         """Mean per-op entropy of the grouping policy."""

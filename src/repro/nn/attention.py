@@ -32,43 +32,63 @@ __all__ = ["BahdanauAttention", "attend", "attend_backward"]
 
 
 def attend(
-    query: np.ndarray, memory: np.ndarray, memory_proj: np.ndarray, w_query: np.ndarray, v: np.ndarray
+    query: np.ndarray,
+    memory: np.ndarray,
+    memory_proj: np.ndarray,
+    w_query: np.ndarray,
+    v: np.ndarray,
+    out: tuple | None = None,
 ) -> tuple:
     """Raw-numpy :meth:`BahdanauAttention.forward` for one ``(B, Q)`` query.
 
     The same expressions as the tensor path (``scores - max`` equals its
     ``scores + (-max)`` exactly).  Returns ``(context, cache)``; ``cache``
-    is what :func:`attend_backward` needs.
+    is what :func:`attend_backward` needs.  ``out`` optionally names the
+    arrays to write into instead of allocating: ``(tanh_pre, scratch_a,
+    scratch_m)``, shaped ``(T, B, A)``, ``(T, B, A)`` and ``(T, B, M)``;
+    ``tanh_pre`` is kept in the cache, the scratch arrays are free again
+    on return.
     """
+    tanh_out, scratch_a, scratch_m = (None, None, None) if out is None else out
     T, B = memory.shape[0], memory.shape[1]
-    tanh_pre = np.tanh(memory_proj + query @ w_query.T)
-    scores = (tanh_pre * v).sum(axis=2)
+    tanh_pre = np.tanh(np.add(memory_proj, query @ w_query.T, out=scratch_a), out=tanh_out)
+    scores = np.multiply(tanh_pre, v, out=scratch_a).sum(axis=2)
     e = np.exp(scores - scores.max(axis=0, keepdims=True))
     ssum = e.sum(axis=0, keepdims=True)
     weights = e / ssum
-    context = (memory * weights.reshape(T, B, 1)).sum(axis=0)
+    context = np.multiply(memory, weights.reshape(T, B, 1), out=scratch_m).sum(axis=0)
     return context, (tanh_pre, e, ssum, weights)
 
 
-def attend_backward(g_context: np.ndarray, memory: np.ndarray, cache: tuple, v: np.ndarray) -> tuple:
+def attend_backward(
+    g_context: np.ndarray, memory: np.ndarray, cache: tuple, v: np.ndarray, out: tuple | None = None
+) -> tuple:
     """Replay one :meth:`BahdanauAttention.forward` call's gradient closures.
 
     ``g_context`` is ``(B, M)``.  Returns the step's contributions
     ``(g_memory, g_memory_proj, g_v, g_q)``, where ``g_q`` is the gradient
     of the projected query ``query @ w_query.T``; callers reduce them across
-    steps in the order the loop graph runs its closures.
+    steps in the order the loop graph runs its closures.  ``out``
+    optionally names the arrays to write into: ``(g_memory, g_memory_proj,
+    scratch_a, scratch_m)``, shaped like :func:`attend`'s; the first two
+    are the returned contributions, so a caller that passes them must
+    consume each before the next call.
     """
+    g_memory, g_add, scratch_a, scratch_m = (None,) * 4 if out is None else out
     tanh_pre, e, ssum, weights = cache
     T, B = weights.shape
     A = v.shape[0]
     g_mm = np.broadcast_to(np.expand_dims(g_context, 0), memory.shape)
-    g_memory = g_mm * weights.reshape(T, B, 1)
-    g_w = (g_mm * memory).sum(axis=(2,), keepdims=True).reshape(T, B)
+    g_memory = np.multiply(g_mm, weights.reshape(T, B, 1), out=g_memory)
+    g_w = np.multiply(g_mm, memory, out=scratch_m).sum(axis=(2,), keepdims=True).reshape(T, B)
     g_ssum = (-g_w * e / (ssum**2)).sum(axis=(0,), keepdims=True)
     g_e = g_w / ssum + np.broadcast_to(g_ssum, (T, B))
     g_mul = np.broadcast_to(np.expand_dims(g_e * e, 2), (T, B, A))
-    g_v = (g_mul * tanh_pre).sum(axis=(0, 1))
-    g_add = g_mul * v * (1.0 - tanh_pre**2)
+    g_v = np.multiply(g_mul, tanh_pre, out=scratch_a).sum(axis=(0, 1))
+    # g_mul * v * (1.0 - tanh_pre**2), one operation at a time.
+    g_add = np.multiply(g_mul, v, out=g_add)
+    local = np.subtract(1.0, np.square(tanh_pre, out=scratch_a), out=scratch_a)
+    g_add = np.multiply(g_add, local, out=g_add)
     return g_memory, g_add, g_v, g_add.sum(axis=(0,))
 
 

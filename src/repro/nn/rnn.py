@@ -188,8 +188,9 @@ def lstm_sweep(
         # w_hh contributions flow through a fresh per-step ``w_hh.T``
         # transpose node whose closure runs in *ascending* time order in
         # the loop graph (unlike the step chains, which close in reverse
-        # time) — collect per-step and reduce in that order below.
-        w_steps = [None] * T
+        # time) — keep each step's gate gradient and reduce in that order
+        # below, one product at a time.
+        w_terms = [None] * T  # (h_prev, gate gradient) by time step
         for k in range(T - 1, -1, -1):
             t = order[k]
             h_prev, gate_cache = cache[k]
@@ -198,7 +199,7 @@ def lstm_sweep(
             gg, g_c = gate_backward(g_h, g_c, gate_cache)
             g_proj[t] += gg
             b_step = gg.sum(axis=0)
-            w_steps[t] = (h_prev.T @ gg).T
+            w_terms[t] = (h_prev, gg)
             if g_b is None:
                 g_b = b_step.copy()
             else:
@@ -212,10 +213,14 @@ def lstm_sweep(
                 if state[1].requires_grad:
                     state[1]._accumulate(g_c)
         if w_hh.requires_grad:
-            g_w = w_steps[0].copy()
-            for t in range(1, T):
-                g_w += w_steps[t]
-            w_hh._accumulate(g_w)
+            # Summed in the ``(in, out)`` layout of ``h.T @ gg``: the loop's
+            # transpose nodes flip each term, which flips the same floats.
+            h_prev, gg = w_terms[0]
+            g_w = h_prev.T @ gg
+            w_step = np.empty_like(g_w)
+            for h_prev, gg in w_terms[1:]:
+                g_w += np.matmul(h_prev.T, gg, out=w_step)
+            w_hh._accumulate(g_w.T)
         if bias.requires_grad:
             bias._accumulate(g_b)
         if proj.requires_grad:

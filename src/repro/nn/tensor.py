@@ -8,6 +8,15 @@ autograd engine in the style of PyTorch: a :class:`Tensor` wraps an
 :meth:`Tensor.backward` walks the recorded graph in reverse topological order
 accumulating gradients.
 
+As in PyTorch, backward consumes the graph it walks: right after a node's
+closure has run, the node drops its gradient, its closure and its parents,
+so each forward array a closure captured is freed as soon as it has been
+used.  Only leaves (tensors built with ``requires_grad=True``, such as
+parameters) keep ``.grad``; an interior node's ``.grad`` is ``None`` after
+the pass, and a second ``backward()`` through a freed node raises
+``RuntimeError``.  A training loop therefore holds at most one graph, even
+while it still references the previous iteration's loss.
+
 The engine is deliberately numpy-vectorised: every primitive forwards to a
 single numpy expression and every backward closure is a handful of numpy
 expressions, so the cost of training agents is dominated by BLAS matmuls, not
@@ -67,6 +76,14 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _consumed(grad: np.ndarray) -> None:
+    """The closure of a node whose graph an earlier backward pass freed."""
+    raise RuntimeError(
+        "backward() through a graph that an earlier backward() already freed; "
+        "recompute the forward pass"
+    )
 
 
 class Tensor:
@@ -176,7 +193,8 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------ #
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Backpropagate from this tensor through the recorded graph.
+        """Backpropagate from this tensor through the recorded graph,
+        freeing the graph as it goes (see the module docstring).
 
         Parameters
         ----------
@@ -211,9 +229,18 @@ class Tensor:
                     stack.append((p, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
+            # Consume the node: its closure (and every forward array it
+            # captured), its parents and its gradient are freed as soon as
+            # they have been used.
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # ------------------------------------------------------------------ #
     # Arithmetic primitives

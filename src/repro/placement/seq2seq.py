@@ -40,13 +40,16 @@ from ..nn.tensor import is_grad_enabled
 __all__ = ["Seq2SeqPlacer"]
 
 
-def _lstm_step(cell: LSTMCell, parts, h: np.ndarray, c: np.ndarray):
+def _lstm_step(
+    cell: LSTMCell, parts, h: np.ndarray, c: np.ndarray, out: Optional[np.ndarray] = None
+):
     """One raw-numpy decoder step on the input ``concatenate(parts)``.
 
     The same expressions as :meth:`LSTMCell.forward` on the loop graph;
-    returns ``(inp, h_next, c_next, gate_cache)``.
+    returns ``(inp, h_next, c_next, gate_cache)``.  ``out`` optionally
+    receives the concatenated input ``inp``.
     """
-    inp = np.concatenate(parts, axis=1)
+    inp = np.concatenate(parts, axis=1, out=out)
     gates = inp @ cell.w_ih.data.T + h @ cell.w_hh.data.T + cell.bias.data
     return (inp,) + gate_forward(gates, c)
 
@@ -72,6 +75,9 @@ def _decode_sweep(
     ascending time for the recurrent weight's transpose nodes; ``h_{t-1}``
     sums its output, query and recurrence gradients in that order) — so
     outputs *and* gradients are equal (``==``) to the step-by-step path.
+    Per-step arrays live in buffers allocated once per sweep (LSTM inputs,
+    attention activations and scratch, weight-gradient products), which
+    changes where the floats are stored, not how they are computed.
 
     ``x`` is ``(G, B, Hx)``; ``embedding`` is the ``(V, E)`` device-embedding
     table; ``prev_idx`` is ``(G, B)`` int64 (row ``i`` holds the device fed to
@@ -84,12 +90,18 @@ def _decode_sweep(
     H = cell.hidden_size
     w_ih, w_hh, bias = cell.w_ih, cell.w_hh, cell.bias
     emb = embedding.data
+    inputs = np.empty((G, B, w_ih.shape[1]))
     attn_parents = ()
     if attention is not None:
         attn, memory, memory_proj = attention
         w_query, v = attn.w_query.weight, attn.v
         mem, mp = memory.data, memory_proj.data
         attn_parents = (memory, memory_proj, w_query, v)
+        T, M, A = mem.shape[0], mem.shape[2], mp.shape[2]
+        # Every step's tanh activations stay for the backward; the scratch
+        # arrays are reused by each attend and attend_backward call.
+        tanh_pres = np.empty((G, T, B, A))
+        scratch = (np.empty((T, B, A)), np.empty((T, B, M)))
     h = c = np.zeros((B, H))
     outputs = np.empty((G, B, H))
     cache = []
@@ -97,9 +109,11 @@ def _decode_sweep(
         parts = [x.data[t], emb[prev_idx[t]]]
         attn_cache = None
         if attention is not None:
-            context, attn_cache = attend(h, mem, mp, w_query.data, v.data)
+            context, attn_cache = attend(
+                h, mem, mp, w_query.data, v.data, out=(tanh_pres[t],) + scratch
+            )
             parts.append(context)
-        inp, h_next, c, gate_cache = _lstm_step(cell, parts, h, c)
+        inp, h_next, c, gate_cache = _lstm_step(cell, parts, h, c, out=inputs[t])
         cache.append((h, inp, attn_cache, gate_cache))
         h = outputs[t] = h_next
 
@@ -120,30 +134,37 @@ def _decode_sweep(
         # transpose nodes flip each term, which flips the same floats.
         totals = dict.fromkeys((w_ih, bias, embedding) + attn_parents)
         transposed = {w_ih, w_hh, w_query} if attention is not None else {w_ih, w_hh}
+        # Each step's weight product lands in a reused buffer before it is
+        # summed, and so do the attention gradients.
+        wi_step = np.empty(wi.T.shape)
+        if attention is not None:
+            g_attn = (np.empty(mem.shape), np.empty(mp.shape)) + scratch
 
-        def add(parent, step):  # every ``step`` is a fresh array
+        def add(parent, step):
             if totals[parent] is None:
-                totals[parent] = step
+                totals[parent] = step.copy()
             else:
                 totals[parent] += step
 
-        wh_steps = [None] * G
+        ggs = [None] * G
         g_h = g_c = None
         for t in range(G - 1, -1, -1):
             h_prev, inp, attn_cache, gate_cache = cache[t]
             if g_h is None:
                 g_h = grad[t].copy()
             gg, g_c = gate_backward(g_h, g_c, gate_cache)
+            ggs[t] = gg
             add(bias, gg.sum(axis=0))
-            wh_steps[t] = h_prev.T @ gg
             g_inp = gg @ wi
             g_x[t] += g_inp[:, :Hx]
             scat = np.zeros_like(emb)
             np.add.at(scat, prev_idx[t], g_inp[:, Hx : Hx + E])
             add(embedding, scat)
-            add(w_ih, inp.T @ gg)
+            add(w_ih, np.matmul(inp.T, gg, out=wi_step))
             if attention is not None:
-                g_mem, g_mp, g_v, g_q = attend_backward(g_inp[:, Hx + E :], mem, attn_cache, v.data)
+                g_mem, g_mp, g_v, g_q = attend_backward(
+                    g_inp[:, Hx + E :], mem, attn_cache, v.data, out=g_attn
+                )
                 add(memory, g_mem)
                 add(memory_proj, g_mp)
                 add(v, g_v)
@@ -155,9 +176,10 @@ def _decode_sweep(
                 g_h += gg @ w
         # The recurrent weight's transpose nodes close forward-in-time in
         # the loop graph (ascending, as in lstm_sweep).
-        totals[w_hh] = wh_steps[0]
+        totals[w_hh] = g_wh = cache[0][0].T @ ggs[0]
+        wh_step = np.empty_like(g_wh)
         for t in range(1, G):
-            totals[w_hh] += wh_steps[t]
+            g_wh += np.matmul(cache[t][0].T, ggs[t], out=wh_step)
         totals[x] = g_x
         for parent, total in totals.items():
             if parent.requires_grad:

@@ -167,19 +167,13 @@ class WorkerPool:
                     return
                 continue
             try:
-                self._execute(*item)
-            except BaseException:
-                # The task already carries this exception on its future;
-                # this thread is compromised, so replace it immediately
-                # rather than waiting for the next heal() sweep (a pool
-                # whose every worker died would otherwise strand the
-                # queue until the next submission).
-                self._replace_self()
-                return
+                alive = self._execute(*item)
             finally:
                 with self._cond:
                     self._pending -= 1
                     self._cond.notify_all()
+            if not alive:
+                return
 
     def _replace_self(self) -> None:
         """Retire the calling worker thread and spawn its successor."""
@@ -191,20 +185,27 @@ class WorkerPool:
             if not self._stopping:
                 self._spawn_locked()
 
-    @staticmethod
-    def _execute(future: Future, fn: Callable, args: Tuple) -> None:
+    def _execute(self, future: Future, fn: Callable, args: Tuple) -> bool:
+        """Run one task; returns False when the task killed this worker."""
         if not future.set_running_or_notify_cancel():
-            return
+            return True
         try:
             result = fn(*args)
-        except BaseException as exc:
+        except Exception as exc:
             future.set_exception(exc)
-            if not isinstance(exc, Exception):
-                # A KeyboardInterrupt/SystemExit-grade failure kills this
-                # worker; the supervisor resurrects a replacement.
-                raise
+        except BaseException as exc:
+            # A KeyboardInterrupt/SystemExit-grade failure compromises this
+            # worker: it retires and spawns its successor right away (a
+            # pool whose every worker died would otherwise strand the queue
+            # until the next heal()).  The successor is counted before the
+            # future resolves, so a caller woken by the future already sees
+            # it in workers_replaced.
+            self._replace_self()
+            future.set_exception(exc)
+            return False
         else:
             future.set_result(result)
+        return True
 
     # ------------------------------------------------------------------ #
     def drain(self, timeout: Optional[float] = None) -> bool:

@@ -185,6 +185,14 @@ class TestSeq2SeqFusedDecode:
         _assert_decode_bit_for_bit(a, b, 16, 4, np.random.default_rng(103))
 
     @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_benchmark_shape_bit_for_bit(self, attention):
+        """At the repo benchmark's decode shape (64 groups, minibatch 10,
+        hidden 128), where the decode's reused buffers hold every step and
+        BLAS blocks its matmuls."""
+        a, b = _placer_pair(4, attention, hidden=128)
+        _assert_decode_bit_for_bit(a, b, 64, 10, np.random.default_rng(104))
+
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
     def test_forward_logits_bit_for_bit(self, attention):
         a, b = _placer_pair(7, attention)
         rng = np.random.default_rng(8)

@@ -1,9 +1,12 @@
 """Unit tests for the autograd engine: forward values and gradients."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, no_grad, is_grad_enabled
+from repro.nn import Parameter, Tensor, no_grad, is_grad_enabled
 from repro.nn.tensor import concatenate, stack, _unbroadcast
 
 from tests.conftest import numeric_gradient
@@ -186,6 +189,59 @@ class TestBackward:
         stack(parts, axis=0).sum().backward()
         for p in parts:
             assert np.allclose(p.grad, 1.0)
+
+
+class TestBackwardFreesGraph:
+    """Backward consumes the graph it walks, as PyTorch does by default."""
+
+    W = np.array([[0.3, -0.7], [1.1, 0.4]])
+    X = np.array([0.5, -1.0])
+
+    def _graph(self):
+        w = Parameter(self.W.copy(), name="w")
+        x = Tensor(self.X.copy(), requires_grad=True)
+        pre = w @ x
+        h = pre.tanh()  # used twice: freed only after both consumers ran
+        sq = h * h
+        loss = sq.sum() + h.sum()
+        return w, x, [pre, h, sq, loss], loss
+
+    def test_interior_nodes_hold_no_grad_closure_or_parents(self):
+        _, _, interior, loss = self._graph()
+        closures = [weakref.ref(node._backward) for node in interior]
+        loss.backward()
+        gc.collect()
+        for node, closure in zip(interior, closures):
+            assert node.grad is None
+            assert node._parents == ()
+            assert closure() is None  # the closure and what it captured are gone
+            assert node.data is not None  # forward values stay readable
+
+    def test_leaf_and_parameter_grads_are_kept(self):
+        w, x, _, loss = self._graph()
+        loss.backward()
+        h = np.tanh(self.W @ self.X)
+        g_pre = (2.0 * h + 1.0) * (1.0 - h**2)
+        assert isinstance(w, Parameter)
+        assert np.allclose(w.grad, np.outer(g_pre, self.X))
+        assert np.allclose(x.grad, self.W.T @ g_pre)
+
+    def test_second_backward_raises_and_leaves_grads_alone(self):
+        w, x, interior, loss = self._graph()
+        loss.backward()
+        w_grad, x_grad = w.grad.copy(), x.grad.copy()
+        with pytest.raises(RuntimeError, match="freed"):
+            loss.backward()
+        h = interior[1]
+        with pytest.raises(RuntimeError, match="freed"):
+            (h * 2.0).sum().backward()  # a new graph over a freed node
+        assert np.array_equal(w.grad, w_grad)
+        assert np.array_equal(x.grad, x_grad)
+
+    def test_a_leaf_root_keeps_its_grad(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        a.backward(np.array([1.0, 2.0, 3.0]))
+        assert np.array_equal(a.grad, [1.0, 2.0, 3.0])
 
 
 class TestNoGrad:

@@ -1,6 +1,7 @@
 """Tests for the supervised worker pool behind the measurement server."""
 
 import threading
+import time
 
 import pytest
 
@@ -54,6 +55,26 @@ class TestSupervision:
         assert pool.submit(lambda: "alive").result(timeout=5) == "alive"
         assert pool.workers_replaced == 2
         assert pool.alive_workers() == 2
+
+    def test_replacement_is_counted_before_the_future_resolves(self, pool, monkeypatch):
+        """A caller woken by a dying task's future already sees the
+        successor counted, however slowly the worker replaces itself."""
+        replace = pool._replace_self
+
+        def slow_replace():
+            time.sleep(0.05)
+            replace()
+
+        monkeypatch.setattr(pool, "_replace_self", slow_replace)
+
+        def die():
+            raise SystemExit("worker down")
+
+        for expected in (1, 2):
+            victim = pool.submit(die)
+            with pytest.raises(SystemExit):
+                victim.result(timeout=5)
+            assert pool.workers_replaced == expected
 
     def test_heal_is_idempotent_on_a_healthy_pool(self, pool):
         victim = pool.submit(lambda: (_ for _ in ()).throw(SystemExit()))
