@@ -288,29 +288,49 @@ class ContractIndex:
         the contracts of the tree it ships with.
         """
         root = package_root or Path(__file__).resolve().parent.parent
+        events = root / "core" / "events.py"
+        service = root / "service"
+        contract_files = {
+            events, root / "sim" / "backends.py", service / "protocol.py",
+            service / "server.py", service / "router.py", service / "client.py",
+        }
+        # Each file is parsed once.  Import edges and callback fire sites
+        # are read while its tree is alive; only the contract files' trees
+        # are kept (an unreadable or unparsable file has none, and an
+        # extractor given no tree returns empty).  Keeping every tree
+        # would cost more than the parses it saves: the cyclic GC re-scans
+        # all live nodes each time the heap grows.
+        trees: Dict[Path, ast.Module] = {}
+        fires: Dict[str, int] = {}
+        imports: Set[Tuple[str, str]] = set()
+        for path in sorted(root.rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text())
+            except (OSError, SyntaxError):
+                continue
+            cls._extract_internal_imports(root, path, tree, imports)
+            if path.parent in (root / "core", service) and path != events:
+                cls._extract_callback_fires(tree, fires)
+            if path in contract_files:
+                trees[path] = tree
         callbacks = cls._extract_method_signatures(
-            root / "core" / "events.py", "SearchCallback", prefix="on_"
+            trees.get(events), "SearchCallback", prefix="on_"
         )
         backend = cls._extract_method_signatures(
-            root / "sim" / "backends.py", "EvaluationBackend"
+            trees.get(root / "sim" / "backends.py"), "EvaluationBackend"
         )
-        schema, nested = cls._extract_message_schema(
-            root / "service" / "protocol.py"
-        )
-        admin = cls._extract_schema_literal(
-            root / "service" / "protocol.py", "ADMIN_SCHEMA"
-        )
+        protocol = trees.get(service / "protocol.py")
+        schema, nested = cls._extract_message_schema(protocol)
+        admin = cls._extract_schema_literal(protocol, "ADMIN_SCHEMA")
         dispatch, methods = cls._extract_server_dispatch(
-            root / "service" / "server.py"
+            trees.get(service / "server.py")
         )
         router_dispatch, router_methods = cls._extract_server_dispatch(
-            root / "service" / "router.py", table_name="_ADMIN_HANDLERS"
+            trees.get(service / "router.py"), table_name="_ADMIN_HANDLERS"
         )
         constructors = cls._extract_client_constructors(
-            root / "service" / "client.py"
+            trees.get(service / "client.py")
         )
-        fires = cls._extract_callback_fires(root)
-        imports = cls._extract_internal_imports(root)
         return cls(
             callbacks,
             backend,
@@ -329,12 +349,10 @@ class ContractIndex:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _extract_method_signatures(
-        path: Path, class_name: str, prefix: str = ""
+        tree: Optional[ast.Module], class_name: str, prefix: str = ""
     ) -> Dict[str, List[str]]:
         signatures: Dict[str, List[str]] = {}
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):
+        if tree is None:
             return signatures
         for node in ast.walk(tree):
             if not (isinstance(node, ast.ClassDef) and node.name == class_name):
@@ -352,13 +370,11 @@ class ContractIndex:
 
     @staticmethod
     def _extract_message_schema(
-        path: Path,
+        tree: Optional[ast.Module],
     ) -> Tuple[Dict[str, Dict[str, Tuple[str, ...]]], Set[str]]:
         schema: Dict[str, Dict[str, Tuple[str, ...]]] = {}
         nested: Set[str] = set()
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):
+        if tree is None:
             return schema, nested
         for node in ast.walk(tree):
             if not isinstance(node, ast.Assign):
@@ -388,13 +404,11 @@ class ContractIndex:
 
     @staticmethod
     def _extract_schema_literal(
-        path: Path, name: str
+        tree: Optional[ast.Module], name: str
     ) -> Dict[str, Dict[str, Tuple[str, ...]]]:
         """An op → field-spec table assigned to ``name`` as a pure literal."""
         schema: Dict[str, Dict[str, Tuple[str, ...]]] = {}
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):
+        if tree is None:
             return schema
         for node in ast.walk(tree):
             if not isinstance(node, ast.Assign):
@@ -415,7 +429,7 @@ class ContractIndex:
 
     @staticmethod
     def _extract_server_dispatch(
-        path: Path, table_name: str = "_OP_HANDLERS"
+        tree: Optional[ast.Module], table_name: str = "_OP_HANDLERS"
     ) -> Tuple[Dict[str, str], Set[str]]:
         """A dispatch-table literal plus every method name in the file.
 
@@ -425,9 +439,7 @@ class ContractIndex:
         """
         dispatch: Dict[str, str] = {}
         methods: Set[str] = set()
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):
+        if tree is None:
             return dispatch, methods
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -447,16 +459,14 @@ class ContractIndex:
         return dispatch, methods
 
     @staticmethod
-    def _extract_client_constructors(path: Path) -> Dict[str, int]:
+    def _extract_client_constructors(tree: Optional[ast.Module]) -> Dict[str, int]:
         """How many ``{"op": <literal>, ...}`` dicts client.py builds per op.
 
         Subscript assignments (``hello["space"] = ...``) deliberately do
         not count — only whole-message dict literals are constructors.
         """
         constructors: Dict[str, int] = {}
-        try:
-            tree = ast.parse(path.read_text())
-        except (OSError, SyntaxError):
+        if tree is None:
             return constructors
         for node in ast.walk(tree):
             if not isinstance(node, ast.Dict):
@@ -472,67 +482,50 @@ class ContractIndex:
         return constructors
 
     @staticmethod
-    def _extract_callback_fires(root: Path) -> Dict[str, int]:
-        """Count ``<recv>.on_*(...)`` dispatch sites in core/ and service/.
+    def _extract_callback_fires(tree: ast.Module, counts: Dict[str, int]) -> None:
+        """Add one file's ``<recv>.on_*(...)`` dispatch sites to ``counts``.
 
-        ``core/events.py`` is excluded: its ``CallbackList`` fans every
-        hook out to subscribers, so counting it would satisfy the
+        :meth:`load` calls it on core/ and service/ modules except
+        ``core/events.py``: its ``CallbackList`` fans every hook out to
+        subscribers, so counting it would satisfy the
         every-hook-has-a-fire-site direction for free.
         """
-        counts: Dict[str, int] = {}
-        for directory in ("core", "service"):
-            pkg = root / directory
-            if not pkg.is_dir():
-                continue
-            for path in sorted(pkg.glob("*.py")):
-                if directory == "core" and path.name == "events.py":
-                    continue
-                try:
-                    tree = ast.parse(path.read_text())
-                except (OSError, SyntaxError):
-                    continue
-                for node in ast.walk(tree):
-                    if (
-                        isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr.startswith("on_")
-                    ):
-                        hook = node.func.attr
-                        counts[hook] = counts.get(hook, 0) + 1
-        return counts
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr.startswith("on_")
+            ):
+                hook = node.func.attr
+                counts[hook] = counts.get(hook, 0) + 1
 
     @staticmethod
-    def _extract_internal_imports(root: Path) -> Set[Tuple[str, str]]:
-        """Every ``(importer_module, imported_target)`` pair in the tree.
+    def _extract_internal_imports(
+        root: Path, path: Path, tree: ast.Module, pairs: Set[Tuple[str, str]]
+    ) -> None:
+        """Add one file's ``(importer_module, imported_target)`` pairs.
 
         Modules are named relative to ``root`` (the ``repro`` package
         directory) so fixture trees work too; only targets inside the
         repro namespace are kept.
         """
-        pairs: Set[Tuple[str, str]] = set()
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root)
-            mod_parts = ["repro"] + list(rel.parts)
-            last = mod_parts[-1]
-            if last == "__init__.py":
-                mod_parts = mod_parts[:-1]
-            else:
-                mod_parts[-1] = last[: -len(".py")]
-            module = ".".join(mod_parts)
-            is_package = path.name == "__init__.py"
-            try:
-                tree = ast.parse(path.read_text())
-            except (OSError, SyntaxError):
-                continue
-            for node in ast.walk(tree):
-                targets: List[Optional[str]] = []
-                if isinstance(node, ast.Import):
-                    targets = [item.name for item in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    targets = [absolute_import_target(module, is_package, node)]
-                for target in targets:
-                    if target is None:
-                        continue
-                    if target == "repro" or target.startswith("repro."):
-                        pairs.add((module, target))
-        return pairs
+        rel = path.relative_to(root)
+        mod_parts = ["repro"] + list(rel.parts)
+        last = mod_parts[-1]
+        if last == "__init__.py":
+            mod_parts = mod_parts[:-1]
+        else:
+            mod_parts[-1] = last[: -len(".py")]
+        module = ".".join(mod_parts)
+        is_package = path.name == "__init__.py"
+        for node in ast.walk(tree):
+            targets: List[Optional[str]] = []
+            if isinstance(node, ast.Import):
+                targets = [item.name for item in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [absolute_import_target(module, is_package, node)]
+            for target in targets:
+                if target is None:
+                    continue
+                if target == "repro" or target.startswith("repro."):
+                    pairs.add((module, target))

@@ -18,8 +18,9 @@ publishes them as a versioned ``BENCH_micro.json``:
   alone.  Its minibatches of 10 are below
   :data:`~repro.sim.batch.SWEEP_MIN_LANES`, so they run the scalar loop.
 * ``service.placements_per_sec`` — round-trip RPS through a local
-  :class:`~repro.service.server.MeasurementServer`; a batch of 64 fresh
-  placements is one pool-side sweep.
+  :class:`~repro.service.server.MeasurementServer`; a batch of
+  :data:`~repro.sim.batch.SWEEP_MIN_LANES` fresh placements is one
+  pool-side sweep.
 * ``setup.pretrain_ms`` — one grouper warm-start
   (:func:`~repro.grouping.pretrain.pretrain_grouper`, 600 steps) on GNMT at
   64 groups, the largest share of an EAGLE agent's set-up; the op features
@@ -44,6 +45,8 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
+
+from ..sim.batch import SWEEP_MIN_LANES
 
 __all__ = [
     "FORMAT",
@@ -91,7 +94,6 @@ def _random_placements(rng: np.random.Generator, num_ops: int, devices: int, k: 
 def _bench_simulators(repeats: int, seed: int) -> Dict[str, float]:
     from ..graph.models import build_benchmark
     from ..sim import BatchSimulator, Simulator, Topology
-    from ..sim.batch import SWEEP_MIN_LANES
 
     batch = SWEEP_MIN_LANES
     metrics: Dict[str, float] = {}
@@ -208,13 +210,16 @@ def _bench_setup(repeats: int, seed: int) -> Dict[str, float]:
 
 
 def run_micro_bench(
-    *, batch: int = 64, repeats: int = 3, seed: int = 0
+    *, batch: Optional[int] = None, repeats: int = 3, seed: int = 0
 ) -> Dict[str, Any]:
     """Time every lane and assemble the versioned report dict.
 
-    ``batch`` sizes the service lane; the ``sim.*`` lanes always time
-    :data:`~repro.sim.batch.SWEEP_MIN_LANES` placements.
+    ``batch`` sizes the service lane, by default
+    :data:`~repro.sim.batch.SWEEP_MIN_LANES` so the server sweeps it; the
+    ``sim.*`` lanes always time ``SWEEP_MIN_LANES`` placements.
     """
+    if batch is None:
+        batch = SWEEP_MIN_LANES
     metrics: Dict[str, float] = {}
     metrics.update(_bench_simulators(repeats, seed))
     metrics.update(_bench_policy_updates(repeats, seed))

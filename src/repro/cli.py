@@ -305,8 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "be at least X times as fast as the scalar loop on "
                         "every benchmark graph (CI runs X=1: the sweep never "
                         "loses where it is used)")
-    p.add_argument("--batch", type=_positive_int, default=64,
-                   help="placements per service-lane batch (default 64)")
+    p.add_argument("--batch", type=_positive_int, default=None,
+                   help="placements per service-lane batch (default "
+                        "SWEEP_MIN_LANES, one server-side sweep)")
     p.add_argument("--repeats", type=_positive_int, default=3,
                    help="timing repeats per metric; the best is reported")
     p.add_argument("--seed", type=int, default=0)

@@ -25,7 +25,7 @@ The memory check is one scatter-add over a ``(K, n) -> (K, d)`` index map
 over-commit detail the scalar path raises — they are excluded from the
 sweep and reported per lane instead of raised.
 
-The sweep pays off only from about 64 lanes: below that its per-op numpy
+The sweep pays off only from about 128 lanes: below that its per-op numpy
 dispatch costs more than the scalar loop's plain float arithmetic on
 Python lists.
 :meth:`BatchSimulator.raw_outcomes` — the one method every evaluator calls —
@@ -56,7 +56,7 @@ __all__ = ["BatchStepBreakdown", "BatchSimulator", "SWEEP_MIN_LANES"]
 
 #: Smallest batch :meth:`BatchSimulator.raw_outcomes` sweeps; smaller
 #: batches run the scalar loop, which is faster there (DESIGN.md §11).
-SWEEP_MIN_LANES = 64
+SWEEP_MIN_LANES = 128
 
 #: Per-lane out-of-memory detail: device -> (demanded bytes, capacity bytes).
 OomDetail = Dict[int, Tuple[float, float]]

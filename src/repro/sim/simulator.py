@@ -14,10 +14,11 @@ makespan of one training step under a deterministic list-scheduling executor:
   the paper's Table IV reports.
 
 The scheduler is O(V + E) and its loop runs on Python lists and floats
-built once per simulator, so one placement costs ~0.8 ms on Inception-V3
-(821 ops), ~1.5 ms on BERT (1503 ops) and ~3.5 ms on GNMT (2029 ops)
-(median of 15 rounds, one core of a 2-vCPU x86-64 container) — which is
-what makes full RL training runs tractable in the benchmark harness.
+built once per simulator, so one placement costs ~0.5 ms on Inception-V3
+(821 ops), ~1.05 ms on BERT (1503 ops) and ~1.7 ms on GNMT (2029 ops)
+(median of 15 rounds over 10 uniform placements, one core of a 2-vCPU
+x86-64 container) — which is what makes full RL training runs tractable
+in the benchmark harness.
 """
 
 from __future__ import annotations
@@ -146,10 +147,12 @@ class Simulator:
                 self._latency[a, b] = link.latency_s
                 self._inv_bw[a, b] = 1.0 / link.bandwidth_bytes_per_s
         # Python-native copies for the scalar loop in simulate(); the numpy
-        # tables above stay for the batch sweep and lower_bound().
+        # tables above stay for the batch sweep and lower_bound().  The link
+        # copies are destination-major (``[dst][src]``), like the loop's
+        # transfer state.
         self._compute_rows: List[List[float]] = self._compute.tolist()
-        self._latency_rows: List[List[float]] = self._latency.tolist()
-        self._inv_bw_rows: List[List[float]] = self._inv_bw.tolist()
+        self._latency_to: List[List[float]] = self._latency.T.tolist()
+        self._inv_bw_to: List[List[float]] = self._inv_bw.T.tolist()
         self._out_bytes_list: List[float] = self._out_bytes.tolist()
         self._dispatch_list: List[float] = self._dispatch.tolist()
 
@@ -211,12 +214,17 @@ class Simulator:
         deduplicated per (producer, destination device)); ``v`` starts at
         ``max(device_free[d], latest arrival)``.
 
-        The loop runs on Python lists and floats (the ``*_rows`` and
-        ``*_list`` tables built in ``__init__``): element reads from numpy
-        arrays cost far more than the arithmetic.  Every ``max`` is an
-        ``if x > cur`` chain, which picks the same value because all times
-        are finite and non-negative.  The placement is normalised once, and
-        its memory is charged to the devices its ops are scheduled on.
+        The loop runs on Python lists and floats (the ``*_rows``, ``*_to``
+        and ``*_list`` tables built in ``__init__``): element reads from
+        numpy arrays cost far more than the arithmetic.  The transfer state
+        is indexed by device, destination first (``arrived[dst][src_op]``,
+        ``channel_free[dst][src]``), so the loop binds the consuming
+        device's row once per op and never builds a tuple key.  Every
+        ``max`` is an ``if x > cur`` chain, which picks the same value
+        because all times are finite and non-negative.  The placement is
+        normalised once, and its memory is charged to the devices its ops
+        are scheduled on.  One placement costs ~0.5 ms on Inception-V3,
+        ~1.05 ms on BERT and ~1.7 ms on GNMT (see the module docstring).
         """
         p = self.normalize_placement(placement)
         usage = self._usage(p)
@@ -228,8 +236,10 @@ class Simulator:
         finish = [0.0] * n
         device_free = [0.0] * d
         device_busy = [0.0] * d
-        channel_free: Dict[Tuple[int, int], float] = {}
-        arrived: Dict[Tuple[int, int], float] = {}  # (src_op, dst_dev) -> arrival time
+        # Transfer state indexed destination first: channel_free[dst][src]
+        # and arrived[dst][src_op], where -1.0 means "not yet sent".
+        channel_free = [[0.0] * d for _ in range(d)]
+        arrived = [[-1.0] * n for _ in range(d)]
         comm_bytes = 0.0
         comm_time = 0.0
         critical_op = 0
@@ -240,8 +250,8 @@ class Simulator:
         )
 
         compute = self._compute_rows
-        latency = self._latency_rows
-        inv_bw = self._inv_bw_rows
+        latency_to = self._latency_to
+        inv_bw_to = self._inv_bw_to
         out_bytes = self._out_bytes_list
         dispatch = self._dispatch_list
         pred_of = self._pred_of
@@ -256,6 +266,7 @@ class Simulator:
 
         for v in self._topo:
             dv = pl[v]
+            arr = arrived[dv]
             ready = 0.0
             recv_cost = 0.0
             for u in pred_of[v]:
@@ -263,26 +274,25 @@ class Simulator:
                 if du == dv:
                     t = finish[u]
                 else:
-                    key = (u, dv)
-                    t = arrived.get(key, -1.0)
+                    t = arr[u]
                     if t < 0.0:
                         # Send op on the producer's device timeline, then the
                         # wire; the Recv is charged to the consumer below.
-                        chan = (du, dv)
+                        chan = channel_free[dv]
                         send_start = finish[u]
                         x = device_free[du]
                         if x > send_start:
                             send_start = x
-                        x = channel_free.get(chan, 0.0)
+                        x = chan[du]
                         if x > send_start:
                             send_start = x
                         device_free[du] = send_start + send_ovh
                         device_busy[du] += send_ovh
                         dispatch_total += dispatch[du]
-                        wire = latency[du][dv] + out_bytes[u] * inv_bw[du][dv]
+                        wire = latency_to[dv][du] + out_bytes[u] * inv_bw_to[dv][du]
                         t = send_start + send_ovh + wire
-                        channel_free[chan] = t
-                        arrived[key] = t
+                        chan[du] = t
+                        arr[u] = t
                         comm_bytes += out_bytes[u]
                         comm_time += wire
                         recv_cost += recv_ovh

@@ -196,9 +196,9 @@ class TestCliExitCodes:
 
 class TestServiceLane:
     def test_service_lane_times_a_real_sweep(self, monkeypatch):
-        """The service lane's batch of 64 fresh placements reaches
-        SWEEP_MIN_LANES, so the server sweeps every one of them instead of
-        falling back to scalar pool tasks."""
+        """The service lane's default batch of SWEEP_MIN_LANES fresh
+        placements reaches the threshold, so the server sweeps every one of
+        them instead of falling back to scalar pool tasks."""
         from repro.bench.micro import _bench_service
         from repro.service.server import MeasurementServer
 
@@ -210,7 +210,7 @@ class TestServiceLane:
             close(server)
 
         monkeypatch.setattr(MeasurementServer, "close", recording_close)
-        batch = 64
+        batch = SWEEP_MIN_LANES
         metrics = _bench_service(batch, repeats=1, seed=0)
         assert metrics["service.placements_per_sec"] > 0
         assert lanes[0] == float(batch)

@@ -112,10 +112,10 @@ class TestGoldenEquivalence:
         assert remote_env.env_time == local_env.env_time
         assert remote_env.num_evaluations == local_env.num_evaluations
 
-    # 15 and 16 (the sides of the threshold before it was re-measured) stay
-    # as scalar-side cases next to the current threshold's two sides.
+    # 15/16 and 63/64 (the sides of earlier thresholds) stay as scalar-side
+    # cases next to the current threshold's two sides.
     @pytest.mark.parametrize(
-        "lanes", sorted({15, 16, SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES})
+        "lanes", sorted({15, 16, 63, 64, SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES})
     )
     def test_sweep_rule_matches_per_placement_reference(self, server, lanes, monkeypatch):
         """A batch's misses run one scalar chunk per worker below SWEEP_MIN_LANES

@@ -109,9 +109,9 @@ class TestSweepRule:
     placements and runs the scalar loop below; every in-process evaluator
     goes through it and stays ``==`` per-placement evaluation on both sides."""
 
-    # Both sides of the threshold, plus 15 and 16 (the threshold's sides
-    # before it was re-measured), which must now stay on the scalar side.
-    SIDES = sorted({15, 16, SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES})
+    # Both sides of the threshold, plus the sides of earlier thresholds
+    # (15/16 and 63/64), which must now stay on the scalar side.
+    SIDES = sorted({15, 16, 63, 64, SWEEP_MIN_LANES - 1, SWEEP_MIN_LANES})
 
     @pytest.mark.parametrize("lanes", SIDES)
     def test_raw_outcomes_pick_a_side(self, layered_graph, lanes, monkeypatch):

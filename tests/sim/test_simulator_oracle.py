@@ -10,6 +10,7 @@ import pytest
 from repro.graph.models import build_benchmark
 from repro.graph.opgraph import OpGraph
 from repro.sim import BatchSimulator, OutOfMemoryError, Simulator, Topology
+from repro.sim.devices import LinkSpec
 
 from ..reference import reference_simulate
 
@@ -91,6 +92,67 @@ def test_colocation_groups_and_cpu_only_ops_equal_the_oracle():
     for p in _random_placements(rng, graph.num_ops, sim.num_devices, 30):
         _assert_equal_outcomes(sim, p, record_trace=True)
         _assert_equal_outcomes(sim, p, record_trace=False)
+
+
+def _asymmetric_topology(num_gpus=6):
+    """A CPU plus ``num_gpus`` GPUs whose every ordered link has its own
+    bandwidth and latency, so a -> b never equals b -> a; a few pairs keep
+    the default link."""
+    base = Topology.default_4gpu(num_gpus=num_gpus)
+    d = base.num_devices
+    links = {
+        (a, b): LinkSpec(bandwidth_bytes_per_s=1e9 * (1 + a + 3 * b),
+                         latency_s=1e-6 * (1 + 2 * a + 7 * b))
+        for a in range(d) for b in range(d) if a != b and (a + b) % 5
+    }
+    return Topology(base.devices, default_link=base.default_link, links=links)
+
+
+def _fan_out_graph(num_devices):
+    """One producer per device, each read by two consumers on every other
+    device (one transfer per destination, two readers), then one join."""
+    g = OpGraph("fan-out")
+    g.add_op("x", "Input", (64, 256))
+    consumers = []
+    for a in range(num_devices):
+        g.add_op(f"p{a}", "MatMul", (64 << a, 256), flops=1e7 * (a + 1), inputs=["x"])
+        for b in range(num_devices):
+            if b != a:
+                for k in range(2):
+                    g.add_op(f"c{a}to{b}_{k}", "Relu", (64, 256), flops=3e4 * (k + 1),
+                             inputs=[f"p{a}"])
+                    consumers.append(f"c{a}to{b}_{k}")
+    g.add_op("join", "AddN", (64, 256), flops=1e5, inputs=consumers)
+    return g
+
+
+def test_asymmetric_links_and_fan_out_equal_the_oracle():
+    """The scalar loop reads its link tables destination-major; with every
+    link one-way distinct, reading them (or a channel) the other way round
+    moves the trace.  Producer ``p{a}`` sits on device ``a`` and its two
+    readers on each other device, so every ordered channel carries traffic
+    and each producer ships once per destination."""
+    topo = _asymmetric_topology()
+    d = topo.num_devices
+    assert d > 5
+    graph = _fan_out_graph(d)
+    sim = Simulator(graph, topo)
+    assert not np.array_equal(sim._latency, sim._latency.T)
+    assert not np.array_equal(sim._inv_bw, sim._inv_bw.T)
+    placement = np.zeros(graph.num_ops, dtype=np.int64)
+    for node in graph.nodes():
+        if node.name.startswith("p"):
+            placement[node.op_id] = int(node.name[1:])
+        elif node.name.startswith("c"):
+            placement[node.op_id] = int(node.name.split("to")[1].split("_")[0])
+    out = _assert_equal_outcomes(sim, placement, record_trace=True)
+    for a in range(d):
+        src = graph.node(f"p{a}").op_id
+        shipped = sorted(dst for u, du, dst, *_ in out.transfers if u == src)
+        assert shipped == [b for b in range(d) if b != a]
+    rng = np.random.default_rng(11)
+    for p in _random_placements(rng, graph.num_ops, d, 20):
+        _assert_equal_outcomes(sim, p, record_trace=True)
 
 
 def test_tiny_memory_oom_detail_equals_the_oracle():
