@@ -336,10 +336,11 @@ class ProtocolSchemaRule(Rule):
         if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
             return
         # Only flag keys that look like wire fields: reads from dicts named
-        # like messages.  Anything else (config dicts, kwargs) is out of scope.
+        # like messages (or like an ``evaluate_batch`` result item).
+        # Anything else (config dicts, kwargs) is out of scope.
         owner = node.func.value
         owner_name = owner.id if isinstance(owner, ast.Name) else None
-        if owner_name not in ("message", "msg", "request", "response", "reply"):
+        if owner_name not in ("message", "msg", "request", "response", "reply", "result"):
             return
         if key.value not in known_fields:
             yield self.finding(

@@ -83,9 +83,11 @@ class OpFeatureExtractor:
         n = graph.num_ops
         self.num_types = _OTHER + 1
 
-        type_idx = np.array([op_type_index(node.op_type) for node in graph.nodes()], dtype=np.int64)
+        self.type_index = np.array(
+            [op_type_index(node.op_type) for node in graph.nodes()], dtype=np.int64
+        )
         self.type_onehot = np.zeros((n, self.num_types))
-        self.type_onehot[np.arange(n), type_idx] = 1.0
+        self.type_onehot[np.arange(n), self.type_index] = 1.0
 
         out_bytes = np.array([node.output.bytes for node in graph.nodes()], dtype=np.float64)
         flops = np.array([node.flops for node in graph.nodes()], dtype=np.float64)

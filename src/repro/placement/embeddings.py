@@ -60,18 +60,22 @@ class GroupEmbedder:
         ex = self.extractor
         G = self.num_groups
 
-        type_counts = np.zeros((G, ex.num_types))
-        np.add.at(type_counts, a, ex.type_onehot)
+        # Bincounts over flattened (group, type) and (group, group) cells
+        # add in input order, as ``np.add.at`` does, at a fraction of its
+        # cost.
+        T = ex.num_types
+        type_counts = np.bincount(a * T + ex.type_index, minlength=G * T)
+        type_counts = type_counts.reshape(G, T).astype(np.float64)
 
         flops = np.bincount(a, weights=ex.flops, minlength=G)
         out_bytes = np.bincount(a, weights=ex.out_bytes, minlength=G)
         params = np.bincount(a, weights=ex.param_bytes, minlength=G)
 
-        comm = np.zeros((G, G))
-        if self._edge_src.size:
-            gs, gd = a[self._edge_src], a[self._edge_dst]
-            cross = gs != gd
-            np.add.at(comm, (gs[cross], gd[cross]), self._edge_bytes[cross])
+        gs, gd = a[self._edge_src], a[self._edge_dst]
+        cross = gs != gd
+        comm = np.bincount(
+            gs[cross] * G + gd[cross], weights=self._edge_bytes[cross], minlength=G * G
+        ).reshape(G, G)
 
         scalars = np.column_stack([_log_scale(flops), _log_scale(out_bytes), _log_scale(params)])
         sizes = type_counts.sum(axis=1, keepdims=True)

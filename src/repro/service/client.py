@@ -61,7 +61,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -406,6 +406,7 @@ class RemoteBackend:
     ) -> List[RawOutcome]:
         """One ``evaluate_batch`` RPC on ``conn``; raws in submission order.
 
+        Reads reply lines until every ticket has been seen exactly once.
         Transport failures propagate raw (the caller owns reconnection);
         protocol violations and server-reported faults close the
         connection and raise — those must not be retried here.
@@ -424,21 +425,34 @@ class RemoteBackend:
                 raise ProtocolError(f"unexpected ticket ids {tickets!r}")
             raws: List[Optional[RawOutcome]] = [None] * len(placements)
             errors: Dict[int, Dict] = {}
-            for _ in range(len(placements)):
-                result = conn.recv()
-                if not result.get("ok"):
-                    raise self._server_error(result)
-                ticket = result.get("ticket")
-                if not isinstance(ticket, int) or not 0 <= ticket < len(placements):
-                    raise ProtocolError(f"unknown ticket {ticket!r}")
-                if result.get("replayed"):
-                    self.num_replayed += 1
-                if "error" in result:
-                    errors[ticket] = result["error"] or {}
-                    continue
-                raws[ticket] = protocol.decode_raw(result.get("raw"))
-                if result.get("cached"):
-                    self.num_remote_cached += 1
+            seen: Set[int] = set()
+            while True:
+                results = reply.get("results")
+                if not isinstance(results, list):
+                    raise ProtocolError(f"reply line carries no results list: {results!r}")
+                for result in results:
+                    ticket = result.get("ticket") if isinstance(result, dict) else None
+                    if not isinstance(ticket, int) or not 0 <= ticket < len(placements):
+                        raise ProtocolError(f"unknown ticket {ticket!r}")
+                    if ticket in seen:
+                        raise ProtocolError(f"duplicate ticket {ticket}")
+                    seen.add(ticket)
+                    if result.get("replayed"):
+                        self.num_replayed += 1
+                    if "error" in result:
+                        detail = result["error"]
+                        if not isinstance(detail, dict):
+                            raise ProtocolError(f"malformed error for ticket {ticket}: {detail!r}")
+                        errors[ticket] = detail
+                        continue
+                    raws[ticket] = protocol.decode_raw(result.get("raw"))
+                    if result.get("cached"):
+                        self.num_remote_cached += 1
+                if len(seen) == len(placements):
+                    break
+                reply = conn.recv()
+                if not reply.get("ok"):
+                    raise self._server_error(reply)
             self.num_rpc_batches += 1
             self.num_requests += len(placements)
         except (ProtocolError, EvaluationFault):
@@ -456,8 +470,6 @@ class RemoteBackend:
                 kind=kind,
                 index=index,
             )
-        if any(raw is None for raw in raws):
-            raise ProtocolError("server sent duplicate tickets and dropped others")
         return raws
 
     def _server_error(self, reply: dict) -> Exception:

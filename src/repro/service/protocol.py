@@ -8,7 +8,7 @@ session is human-readable.
 
 Session layout::
 
-    client → server   {"op": "hello", "version": 5, "min_version": 5,
+    client → server   {"op": "hello", "version": 6, "min_version": 6,
                        "fingerprint": "...", "space": {...}}   # space optional
     server → client   {"ok": true, "server": {...}, "session": "s1"}
                       # or error + "code" + close
@@ -21,11 +21,14 @@ Session layout::
 
     client → server   {"op": "evaluate_batch", "placements": ["0121…", ...],
                        "batch": 5}            # one char per op, see below
-    server → client   {"ok": true, "tickets": [0, 1, ...]}
-    server → client   {"ok": true, "ticket": 1, "raw": {...}, "cached": true}
-    server → client   {"ok": true, "ticket": 0, "error":
-                          {"kind": "crash", "message": "..."}}
-    ...               # one line per ticket, in *completion* order
+    server → client   {"ok": true, "tickets": [0, 1, 2, ...], "results":
+                          [{"ticket": 1, "raw": {...}, "cached": true}]}
+                      # the ack: every result known at submit time
+    server → client   {"ok": true, "results": [{"ticket": 0, "error":
+                          {"kind": "crash", "message": "..."}},
+                          {"ticket": 2, "raw": {...}, "cached": false}]}
+    ...               # one line per ready set, in *completion* order,
+                      # until every ticket has appeared exactly once
                       # (replayed results carry "replayed": true)
 
     client → server   {"op": "stats"}
@@ -82,8 +85,16 @@ server accepts the handshake only if that range contains its version,
 which it echoes in ``server["version"]``.  Every client of this build
 offers ``[PROTOCOL_VERSION, PROTOCOL_VERSION]``.  History: v2 added
 sessions and replay, v3 multi-tenancy, v4 made ``evaluate_batch`` the one
-(batch-tagged) measurement op, and v5 replaced its lists of ints with one
-char per op, which the server decodes to a memo key without numpy.
+(batch-tagged) measurement op, v5 replaced its lists of ints with one
+char per op, which the server decodes to a memo key without numpy, and v6
+answers with one reply line per ready set instead of one per ticket.
+
+Reply lines: the ``evaluate_batch`` ack carries every result already
+known when the batch is submitted (memo hits and replays), so an all-hit
+batch is answered in one line.  Each later line carries the results that
+landed since the previous one, so a slow placement does not hold up the
+others.  Tickets still open at the server's request deadline go out as one
+final line of ``deadline`` errors.
 
 Sessions and replay: every handshake creates a server-side *session*
 (id in the hello reply).  The server retains the results of recently
@@ -150,8 +161,10 @@ __all__ = [
 #: spec offer in ``hello``, structured handshake rejection ``code``s, and
 #: the ``spaces`` op.  v4 removes the scalar ``evaluate`` op and makes the
 #: ``batch`` id of ``evaluate_batch`` mandatory.  v5 sends each placement
-#: as a string of one char per op instead of a list of ints.
-PROTOCOL_VERSION = 5
+#: as a string of one char per op instead of a list of ints.  v6 answers
+#: ``evaluate_batch`` with one line per ready set of results (a ``results``
+#: list) instead of one line per ticket.
+PROTOCOL_VERSION = 6
 
 #: Cap on one serialised message (a placement line for a ~100k-op graph is
 #: well under this); keeps a garbage peer from ballooning server memory.
@@ -178,9 +191,7 @@ MESSAGE_SCHEMA = {
     },
     "evaluate_batch": {
         "request": ("op", "placements", "batch"),
-        "response": (
-            "ok", "tickets", "ticket", "raw", "cached", "replayed", "error", "kind",
-        ),
+        "response": ("ok", "tickets", "results", "error", "kind"),
     },
     "stats": {
         "request": ("op",),
@@ -230,9 +241,13 @@ ADMIN_SCHEMA = {
 }
 
 #: Keys that appear only *inside* nested payload objects (the ``server``
-#: info dict, per-ticket ``error`` details) — legal in ``.get()`` reads
-#: but never as top-level message fields of their own.
-NESTED_FIELDS = {"message", "kind", "version", "graph", "num_ops", "num_devices", "workers"}
+#: info dict, the ``evaluate_batch`` result items and their ``error``
+#: details) — legal in ``.get()`` reads but never as top-level message
+#: fields of their own.
+NESTED_FIELDS = {
+    "message", "kind", "version", "graph", "num_ops", "num_devices", "workers",
+    "ticket", "raw", "cached", "replayed",
+}
 
 #: The structured rejection codes a refused ``hello`` may carry.
 HANDSHAKE_CODES = ("version_range", "unknown_fingerprint", "space_loading")
@@ -292,9 +307,10 @@ def parse_address(address: str) -> Tuple[str, int]:
 def connect(address: str, timeout: float) -> socket.socket:
     """Dial ``address``: the one way the service opens a socket.
 
-    Nagle is off.  A reply streams as several small lines (one per
-    ticket), and with Nagle on every line after the first waits for the
-    peer's delayed ACK — a ~40 ms floor under each round trip.
+    Nagle is off.  A reply may stream as several small lines (an
+    ``evaluate_batch`` ack, then one line per ready set), and with Nagle
+    on every line after the first waits for the peer's delayed ACK — a
+    ~40 ms floor under each round trip.
     ``timeout`` bounds the connect and every later socket operation.
     """
     sock = socket.create_connection(parse_address(address), timeout=timeout)

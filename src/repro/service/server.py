@@ -32,9 +32,10 @@ Three properties make the fleet shareable:
   answer ``busy`` backpressure once its quota is full, leaving pool lanes
   for everyone else.
 
-``evaluate_batch`` is futures-based: the submit reply carries ticket ids,
-then one result line streams back per ticket *in completion order* — a
-slow placement does not convoy its siblings through the worker pool.
+``evaluate_batch`` is futures-based: the submit reply carries ticket ids
+and every result already known (memo hits, replays); the rest stream back
+one line per ready set *in completion order* — a slow placement does not
+convoy its siblings through the worker pool.
 
 Self-healing and durability
 ---------------------------
@@ -109,7 +110,9 @@ class _Handler(socketserver.StreamRequestHandler):
 
     server: "_TCPServer"
 
-    #: Nagle off: an ``evaluate_batch`` reply streams one line per ticket.
+    #: Nagle off: an ``evaluate_batch`` reply may stream several lines (the
+    #: ack, then one per ready set), and with Nagle on each line after the
+    #: first would wait for the client's delayed ACK.
     disable_nagle_algorithm = True
 
     #: Declarative op → handler-method table.  This is *data* the
@@ -517,12 +520,11 @@ class _Handler(socketserver.StreamRequestHandler):
             record.orphaned = False
         if already:
             service.metrics.inc("repro_service_replayed_total", float(len(already)))
-        self._reply({"ok": True, "tickets": list(range(len(keys)))})
-        keep = self._stream_results(record, already)
+        self._stream_results(record, already)
         # Batches resolved purely from the memo never ran a done-callback,
         # so persist here as well — both paths are idempotent writes.
         service._maybe_persist(space, record)
-        return keep
+        return True
 
     def _submit_into(
         self, space: TenantSpace, record: BatchRecord, pending: List[Tuple[int, bytes]]
@@ -630,19 +632,29 @@ class _Handler(socketserver.StreamRequestHandler):
 
         future.add_done_callback(_store)
 
-    def _stream_results(self, record: BatchRecord, already: Dict[int, Any]) -> bool:
-        """Stream the record's results as they land, oldest-ready first.
+    def _stream_results(self, record: BatchRecord, already: Dict[int, Any]) -> None:
+        """Answer the batch in one line per ready set.
 
-        This handler thread is the connection's only writer, so no write
-        lock is needed.  Tickets still unresolved when the server's
-        ``request_deadline`` expires answer ``deadline`` errors — their
-        simulations continue into the record for a later replay.
+        The ack carries every result already in the record (memo hits and
+        replays), so an all-hit batch is one line.  Each later wakeup of
+        the record writes one line with everything that landed since, so
+        a slow placement does not hold up its siblings.  Tickets still
+        unresolved when the server's ``request_deadline`` expires go out
+        as one final line of ``deadline`` errors — their simulations
+        continue into the record for a later replay.  This handler thread
+        is the connection's only writer, so no write lock is needed.
         """
         service = self.service
         deadline = None
         if service.request_deadline is not None:
             deadline = service.clock() + service.request_deadline
-        written: Set[int] = set()
+        ready = record.snapshot()
+        written: Set[int] = set(ready)
+        self._reply({
+            "ok": True,
+            "tickets": list(range(record.expected)),
+            "results": _result_items(ready, already),
+        })
         while len(written) < record.expected:
             remaining = None
             if deadline is not None:
@@ -650,29 +662,37 @@ class _Handler(socketserver.StreamRequestHandler):
                 if remaining <= 0:
                     break
             ready = record.wait_ready(written, remaining)
-            for ticket in sorted(ready):
-                line = {"ok": True, "ticket": ticket, **ready[ticket]}
-                if ticket in already:
-                    line["replayed"] = True
-                self._reply(line)
-                written.add(ticket)
-        for ticket in range(record.expected):
-            if ticket not in written:
-                service.metrics.inc("repro_service_deadline_total")
-                self._reply(
-                    {
-                        "ok": True,
-                        "ticket": ticket,
-                        "error": {
-                            "kind": "deadline",
-                            "message": (
-                                "result not ready within the server's "
-                                f"{service.request_deadline:.1f}s request deadline"
-                            ),
-                        },
-                    }
-                )
-        return True
+            if ready:
+                written.update(ready)
+                self._reply({"ok": True, "results": _result_items(ready, already)})
+        late = [ticket for ticket in range(record.expected) if ticket not in written]
+        if late:
+            service.metrics.inc("repro_service_deadline_total", float(len(late)))
+            error = {
+                "kind": "deadline",
+                "message": (
+                    "result not ready within the server's "
+                    f"{service.request_deadline:.1f}s request deadline"
+                ),
+            }
+            self._reply({
+                "ok": True,
+                "results": [{"ticket": ticket, "error": error} for ticket in late],
+            })
+
+
+def _result_items(
+    ready: Dict[int, Dict[str, Any]], already: Dict[int, Any]
+) -> List[Dict[str, Any]]:
+    """The result items of one reply line, in ticket order; those stored
+    before this request arrived are marked ``replayed``."""
+    items = []
+    for ticket in sorted(ready):
+        item = {"ticket": ticket, **ready[ticket]}
+        if ticket in already:
+            item["replayed"] = True
+        items.append(item)
+    return items
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):

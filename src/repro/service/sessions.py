@@ -61,13 +61,13 @@ class BatchRecord:
         self._results: Dict[int, Dict[str, Any]] = {}
 
     def store(self, ticket: int, payload: Dict[str, Any]) -> None:
-        """Record one ticket's encoded result line payload."""
+        """Record one ticket's encoded result payload."""
         with self._cond:
             self._results[ticket] = payload
             self._cond.notify_all()
 
     def snapshot(self) -> Dict[int, Dict[str, Any]]:
-        """All results stored so far (used to mark replays)."""
+        """All results stored so far (what an ack carries; marks replays)."""
         with self._cond:
             return dict(self._results)
 

@@ -41,8 +41,8 @@ class TestContractExtraction:
         }
         assert "fingerprint" in contracts.request_fields["hello"]
         assert "batch" in contracts.request_fields["evaluate_batch"]
-        assert "raw" in contracts.response_fields
-        assert "replayed" in contracts.response_fields
+        assert "results" in contracts.response_fields
+        assert {"ticket", "raw", "cached", "replayed"} <= contracts.nested_fields
 
     def test_dispatch_and_constructors_extracted(self, contracts):
         # every schema op dispatches and has exactly one client constructor
@@ -182,6 +182,18 @@ class TestProtocolSchema:
             'def f(p, fp):\n'
             '    hello = {"op": "hello", "version": 1, "fingerprint": fp}\n'
             '    return hello, {"op": "evaluate_batch", "placements": p}\n'
+        )
+        assert lint_source(src, SERVICE_PATH, contracts) == []
+
+    def test_unknown_result_item_read_flagged(self, contracts):
+        src = 'def f(result):\n    return result.get("tiket")\n'
+        assert rule_ids(lint_source(src, SERVICE_PATH, contracts)) == ["protocol-schema"]
+
+    def test_result_item_read_clean(self, contracts):
+        src = (
+            'def f(reply):\n'
+            '    for result in reply.get("results"):\n'
+            '        yield result.get("ticket"), result.get("raw"), result.get("replayed")\n'
         )
         assert lint_source(src, SERVICE_PATH, contracts) == []
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.graph import OpGraph
+from repro.graph.models import build_benchmark
 from repro.grouping import MetisGrouper, OpFeatureExtractor
 from repro.placement import GroupEmbedder
+
+from ..reference import reference_embed_with_adjacency
 
 
 @pytest.fixture
@@ -70,3 +74,49 @@ class TestGroupEmbedder:
         out = emb.embed(a)
         assert np.all(np.isfinite(out))
         assert out.min() >= 0.0 and out.max() <= 1.0 + 1e-9
+
+
+class TestAgainstTheAddAtOracle:
+    """The bincount embedding is ``==`` the ``np.add.at`` one, not close."""
+
+    @staticmethod
+    def _assert_equal_to_oracle(emb, assignments):
+        for a in assignments:
+            got, got_comm = emb.embed_with_adjacency(a)
+            want, want_comm = reference_embed_with_adjacency(emb, a)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_comm, want_comm)
+        batch = emb.embed_batch(np.stack(assignments))
+        for b, a in enumerate(assignments):
+            assert np.array_equal(batch[:, b], reference_embed_with_adjacency(emb, a)[0])
+
+    @pytest.mark.parametrize("include_adjacency", [True, False])
+    def test_random_assignments(self, layered_graph, rng, include_adjacency):
+        emb = GroupEmbedder(OpFeatureExtractor(layered_graph), 8, include_adjacency)
+        n = layered_graph.num_ops
+        self._assert_equal_to_oracle(emb, [rng.integers(0, 8, size=n) for _ in range(20)])
+
+    def test_random_assignments_on_a_benchmark_graph(self, rng):
+        graph = build_benchmark("inception_v3")
+        emb = GroupEmbedder(OpFeatureExtractor(graph), 64)
+        self._assert_equal_to_oracle(
+            emb, [rng.integers(0, 64, size=graph.num_ops) for _ in range(5)]
+        )
+
+    def test_empty_groups(self, layered_graph, rng):
+        emb = GroupEmbedder(OpFeatureExtractor(layered_graph), 10)
+        n = layered_graph.num_ops
+        self._assert_equal_to_oracle(emb, [
+            np.zeros(n, dtype=np.int64),
+            np.full(n, 9, dtype=np.int64),
+            rng.choice([2, 7], size=n),
+        ])
+
+    def test_edgeless_graph(self, rng):
+        graph = OpGraph("edgeless")
+        for i, op_type in enumerate(["MatMul", "Relu", "Conv2D", "Relu", "Add"]):
+            graph.add_op(f"op{i}", op_type, (4, 8 + i), flops=1e3 * (i + 1))
+        emb = GroupEmbedder(OpFeatureExtractor(graph), 3)
+        _, comm = emb.embed_with_adjacency(rng.integers(0, 3, size=5))
+        assert not comm.any()
+        self._assert_equal_to_oracle(emb, [rng.integers(0, 3, size=5) for _ in range(5)])

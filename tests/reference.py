@@ -1,6 +1,6 @@
 """Test oracles shared across suites: the scalar simulator's numpy-indexed
-loop, a per-placement reference backend and a spy telling the batch
-simulator's two sides apart."""
+loop, a per-placement reference backend, a spy telling the batch
+simulator's two sides apart, and the ``np.add.at`` group embedding."""
 
 from __future__ import annotations
 
@@ -109,6 +109,44 @@ def reference_simulate(sim, placement, record_trace=False):
         op_end=finish.copy() if record_trace else None,
         transfers=transfers,
     )
+
+
+def reference_embed_with_adjacency(embedder, assignment):
+    """:meth:`GroupEmbedder.embed_with_adjacency` with ``np.add.at``
+    scatters: the type counts add each op's one-hot row, the
+    communication matrix each cut edge's bytes, one element at a time.
+
+    The embedder's bincounts add in the same input order, so its
+    embedding and matrix must be ``==`` these on every input.
+    """
+    from repro.placement.embeddings import _log_scale
+
+    a = np.asarray(assignment, dtype=np.int64)
+    ex = embedder.extractor
+    G = embedder.num_groups
+
+    type_counts = np.zeros((G, ex.num_types))
+    np.add.at(type_counts, a, ex.type_onehot)
+
+    flops = np.bincount(a, weights=ex.flops, minlength=G)
+    out_bytes = np.bincount(a, weights=ex.out_bytes, minlength=G)
+    params = np.bincount(a, weights=ex.param_bytes, minlength=G)
+
+    comm = np.zeros((G, G))
+    if embedder._edge_src.size:
+        gs, gd = a[embedder._edge_src], a[embedder._edge_dst]
+        cross = gs != gd
+        np.add.at(comm, (gs[cross], gd[cross]), embedder._edge_bytes[cross])
+
+    scalars = np.column_stack([_log_scale(flops), _log_scale(out_bytes), _log_scale(params)])
+    sizes = type_counts.sum(axis=1, keepdims=True)
+    type_frac = type_counts / np.maximum(sizes, 1.0)
+    parts = [type_frac, scalars]
+    if embedder.include_adjacency:
+        sym = comm + comm.T
+        row_sum = sym.sum(axis=1, keepdims=True)
+        parts.append(sym / np.maximum(row_sum, 1.0))
+    return np.concatenate(parts, axis=1), comm
 
 
 class PerPlacementBackend:

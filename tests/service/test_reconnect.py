@@ -39,6 +39,26 @@ def _backend(server, **kwargs):
     return RemoteBackend(_env(seed=0), server.address, **kwargs)
 
 
+def _occupy_workers(server, count):
+    """Park blocker tasks on the server's pool; returns the release.
+
+    Work submitted while they hold every worker queues behind them, so
+    none of its results can land before the test sets the release.
+    """
+    release = threading.Event()
+    started = [threading.Event() for _ in range(count)]
+
+    def blocker(start):
+        start.set()
+        release.wait(30)
+
+    for start in started:
+        server._pool.submit(blocker, start)
+    for start in started:
+        assert start.wait(5)
+    return release
+
+
 class _RawClient:
     """A bare protocol speaker for poking the server directly."""
 
@@ -66,14 +86,28 @@ class _RawClient:
         self.send(message)
         return self.recv()
 
-    def submit_batch(self, placements, batch_id):
-        reply = self.request({
+    def submit_lines(self, placements, batch_id):
+        """Every reply line of one batch: the ack, then one line per
+        ready set, until each ticket has appeared once."""
+        lines = [self.request({
             "op": "evaluate_batch",
             "placements": _wire(placements),
             "batch": batch_id,
-        })
-        assert reply["ok"], reply
-        return [self.recv() for _ in placements]
+        })]
+        seen = []
+        while True:
+            assert lines[-1]["ok"], lines[-1]
+            seen += [item["ticket"] for item in lines[-1]["results"]]
+            assert len(seen) == len(set(seen)), seen  # each ticket once
+            if len(seen) == len(placements):
+                assert sorted(seen) == list(range(len(placements)))
+                return lines
+            lines.append(self.recv())
+
+    def submit_batch(self, placements, batch_id):
+        """The result items of one batch, in arrival order."""
+        lines = self.submit_lines(placements, batch_id)
+        return [item for line in lines for item in line["results"]]
 
     def close(self):
         self.sock.close()
@@ -119,7 +153,7 @@ class TestReplay:
         client = _RawClient(server)
         try:
             results = client.submit_batch(placements, batch_id=0)
-            assert all(r["ok"] and "raw" in r for r in results)
+            assert all("raw" in r for r in results)
             baseline = server.num_simulations
             assert baseline == 3
 
@@ -161,7 +195,7 @@ class TestReplay:
             assert resumed["ok"] and 7 in resumed["retained"]
             results = second.submit_batch(placements, batch_id=7)
             assert {r["ticket"] for r in results} == {0, 1, 2, 3}
-            assert all(r["ok"] and "raw" in r for r in results)
+            assert all("raw" in r for r in results)
             assert server.num_simulations == baseline  # nothing re-ran
         finally:
             second.close()
@@ -193,6 +227,9 @@ class TestBackendReconnect:
         )
         env = _env(seed=0)
         placements = _placements(env, 5, seed=5)
+        # Every placement misses, and the parked workers keep each result
+        # out of the ack: the ack carries none, so a 2nd line must follow.
+        release = _occupy_workers(server, server.workers)
         try:
             conn = backend._borrow()  # handshakes; adopts the session
             original_recv = conn.recv
@@ -200,10 +237,14 @@ class TestBackendReconnect:
 
             def dropping_recv():
                 state["calls"] += 1
-                if state["calls"] == 2:  # tickets arrived; first result line
+                reply = original_recv()
+                if state["calls"] == 1:  # the ack: nothing has run yet
+                    assert reply["results"] == []
+                    release.set()
+                if state["calls"] == 2:  # a result line: it landed, then drop
                     conn.sock.close()
                     raise ConnectionResetError("injected mid-stream drop")
-                return original_recv()
+                return reply
 
             conn.recv = dropping_recv
             backend._release(conn)
@@ -224,6 +265,7 @@ class TestBackendReconnect:
             assert backend.num_replayed >= 1
             assert sleeps == pytest.approx([0.001])  # one backoff, then re-dial
         finally:
+            release.set()
             backend.close()
 
     def test_initial_dial_failure_faults_without_backoff(self):
@@ -267,27 +309,12 @@ class TestBackendReconnect:
 
 # ---------------------------------------------------------------------- #
 class TestBackpressureAndDeadlines:
-    def _occupy_workers(self, server, count):
-        """Park blocker tasks on the server's pool; returns the release."""
-        release = threading.Event()
-        started = [threading.Event() for _ in range(count)]
-
-        def blocker(start):
-            start.set()
-            release.wait(30)
-
-        for start in started:
-            server._pool.submit(blocker, start)
-        for start in started:
-            assert start.wait(5)
-        return release
-
     def test_busy_server_answers_busy_and_client_defers(self):
         server = MeasurementServer(
             _env(seed=99), port=0, workers=1, max_backlog=1
         ).start()
         backend = _backend(server)
-        release = self._occupy_workers(server, 1)
+        release = _occupy_workers(server, 1)
         try:
             server._pool.submit(lambda: None)  # fill the 1-slot backlog
             with pytest.raises(EvaluationFault) as excinfo:
@@ -304,7 +331,7 @@ class TestBackpressureAndDeadlines:
             _env(seed=99), port=0, workers=1, request_deadline=0.2
         ).start()
         backend = _backend(server)
-        release = self._occupy_workers(server, 1)
+        release = _occupy_workers(server, 1)
         try:
             with pytest.raises(EvaluationFault) as excinfo:
                 backend.evaluate_batch(_placements(_env(seed=0), 1, seed=7))
@@ -401,7 +428,7 @@ class TestMultiTenantRestart:
         placements = _placements(_env(seed=99), 3, seed=11)
         client = _RawClient(first)
         results = client.submit_batch(placements, batch_id=5)
-        assert all(r["ok"] for r in results)
+        assert all("raw" in r for r in results)
         assert first.num_simulations == 3
         session = client.session
         client.close()
