@@ -76,5 +76,5 @@ class GrouperPlacerBridge(Module):
         from ..nn.functional import concatenate
 
         x = concatenate([soft_b, Tensor(hard)], axis=2)
-        out, _ = self.lstm(x)
+        out = self.lstm(x)
         return out

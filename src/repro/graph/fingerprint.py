@@ -14,6 +14,8 @@ Fingerprints are SHA-256 hex digests over a canonical JSON rendering, so
 they are stable across processes, platforms and Python versions.  The
 topology and cost-model arguments are duck-typed (this module must not
 import :mod:`repro.sim`, which imports :mod:`repro.graph`).
+:func:`topology_dict` and :func:`cost_model_dict` are the one rendering of
+each; :mod:`repro.sim.serialization` ships them with a format version.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ __all__ = [
     "topology_fingerprint",
     "cost_model_fingerprint",
     "placement_space_fingerprint",
+    "topology_dict",
+    "cost_model_dict",
 ]
 
 
@@ -43,7 +47,9 @@ def graph_fingerprint(graph: OpGraph) -> str:
     return _digest({"graph": graph_to_dict(graph)})
 
 
-def _topology_dict(topology) -> Dict[str, Any]:
+def topology_dict(topology) -> Dict[str, Any]:
+    """The canonical rendering of a :class:`~repro.sim.devices.Topology`."""
+
     def link_dict(link) -> Dict[str, float]:
         return {
             "bandwidth_bytes_per_s": link.bandwidth_bytes_per_s,
@@ -63,17 +69,18 @@ def _topology_dict(topology) -> Dict[str, Any]:
         ],
         "default_link": link_dict(topology.default_link),
         "links": sorted(
-            (list(pair), link_dict(link)) for pair, link in topology._links.items()
+            [list(pair), link_dict(link)] for pair, link in topology._links.items()
         ),
     }
 
 
 def topology_fingerprint(topology) -> str:
     """Digest of a :class:`~repro.sim.devices.Topology` (devices + links)."""
-    return _digest({"topology": _topology_dict(topology)})
+    return _digest({"topology": topology_dict(topology)})
 
 
-def _cost_model_dict(cost_model) -> Dict[str, Any]:
+def cost_model_dict(cost_model) -> Dict[str, Any]:
+    """The canonical rendering of a :class:`~repro.sim.cost_model.CostModel`."""
     return {
         "training_flops_multiplier": cost_model.training_flops_multiplier,
         "param_memory_multiplier": cost_model.param_memory_multiplier,
@@ -90,7 +97,7 @@ def _cost_model_dict(cost_model) -> Dict[str, Any]:
 
 def cost_model_fingerprint(cost_model) -> str:
     """Digest of a :class:`~repro.sim.cost_model.CostModel`'s parameters."""
-    return _digest({"cost_model": _cost_model_dict(cost_model)})
+    return _digest({"cost_model": cost_model_dict(cost_model)})
 
 
 def placement_space_fingerprint(
@@ -104,8 +111,8 @@ def placement_space_fingerprint(
     """
     payload: Dict[str, Any] = {
         "graph": graph_to_dict(graph),
-        "topology": _topology_dict(topology),
+        "topology": topology_dict(topology),
     }
     if cost_model is not None:
-        payload["cost_model"] = _cost_model_dict(cost_model)
+        payload["cost_model"] = cost_model_dict(cost_model)
     return _digest(payload)

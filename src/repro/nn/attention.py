@@ -4,16 +4,17 @@ The paper adopts "the mechanism proposed by Bahdanau et al.", computing a
 context vector from the encoder outputs and the decoder's previous hidden
 state (§III-C).  ``score(s, h_j) = v^T tanh(W_s s + W_h h_j)``.
 
-:meth:`BahdanauAttention.forward_batched` scores *all* queries of a
+:meth:`BahdanauAttention.forward` scores *all* queries of a
 teacher-forced decode against the memory in one broadcasted pass — one
 ``(T, G, B, A)`` score tensor instead of ``G`` per-step ``(T, B, A)``
 passes.  Like :func:`repro.nn.rnn.lstm_sweep` it is a single custom
 autograd node whose backward replays the per-step loop's exact gradient
-closures so fused-vs-loop outputs *and* gradients stay equal (``==``);
-``tests/nn/test_fused.py`` enforces this through the seq2seq decoder.
+closures so outputs *and* gradients stay equal (``==``) to the loop,
+checked against the loop oracle in ``tests/reference.py`` by
+``tests/nn/test_fused.py``.
 
 :func:`attend` and :func:`attend_backward` are one query's forward and
-gradient replay in raw numpy; ``forward_batched`` and the seq2seq
+gradient replay in raw numpy; ``forward`` and the seq2seq
 placer's fused decode (:func:`repro.placement.seq2seq._decode_sweep`,
 where each context feeds the next decoder input) share them.
 """
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import init
-from .functional import softmax
 from .module import Module, Parameter
 from .layers import Linear
 from .tensor import Tensor, is_grad_enabled
@@ -39,9 +39,10 @@ def attend(
     v: np.ndarray,
     out: tuple | None = None,
 ) -> tuple:
-    """Raw-numpy :meth:`BahdanauAttention.forward` for one ``(B, Q)`` query.
+    """Raw-numpy additive attention for one ``(B, Q)`` query.
 
-    The same expressions as the tensor path (``scores - max`` equals its
+    The same expressions as the loop oracle's per-step tensor attention in
+    ``tests/reference.py`` (``scores - max`` equals its softmax's
     ``scores + (-max)`` exactly).  Returns ``(context, cache)``; ``cache``
     is what :func:`attend_backward` needs.  ``out`` optionally names the
     arrays to write into instead of allocating: ``(tanh_pre, scratch_a,
@@ -63,7 +64,7 @@ def attend(
 def attend_backward(
     g_context: np.ndarray, memory: np.ndarray, cache: tuple, v: np.ndarray, out: tuple | None = None
 ) -> tuple:
-    """Replay one :meth:`BahdanauAttention.forward` call's gradient closures.
+    """Replay the gradient closures of one query's attention (:func:`attend`).
 
     ``g_context`` is ``(B, M)``.  Returns the step's contributions
     ``(g_memory, g_memory_proj, g_v, g_q)``, where ``g_q`` is the gradient
@@ -116,42 +117,17 @@ class BahdanauAttention(Module):
         """Project the memory once per decode; memory is ``(T, B, memory_size)``."""
         return self.w_memory(memory)
 
-    def forward(self, query: Tensor, memory: Tensor, memory_proj: Tensor | None = None) -> tuple[Tensor, Tensor]:
-        """Attend to ``memory`` with ``query``.
-
-        Parameters
-        ----------
-        query:
-            Decoder state, ``(B, query_size)``.
-        memory:
-            Encoder outputs, ``(T, B, memory_size)``.
-        memory_proj:
-            Optional output of :meth:`precompute` to avoid re-projecting the
-            memory at every decoding step.
-
-        Returns
-        -------
-        (context, weights):
-            ``context`` is ``(B, memory_size)``; ``weights`` is ``(T, B)``.
-        """
-        if memory_proj is None:
-            memory_proj = self.precompute(memory)
-        q = self.w_query(query)  # (B, A)
-        scores = ((memory_proj + q).tanh() * self.v).sum(axis=2)  # (T, B)
-        weights = softmax(scores, axis=0)
-        context = (memory * weights.reshape(weights.shape[0], weights.shape[1], 1)).sum(axis=0)
-        return context, weights
-
-    def forward_batched(
-        self, queries: Tensor, memory: Tensor, memory_proj: Tensor | None = None
-    ) -> Tensor:
-        """Attend with a whole decode's queries at once.
+    def forward(self, queries: Tensor, memory: Tensor, memory_proj: Tensor | None = None) -> Tensor:
+        """Attend to ``memory`` with a whole decode's queries at once.
 
         ``queries`` is ``(G, B, query_size)`` (e.g. every decoder hidden
-        state of a teacher-forced pass); returns the contexts
-        ``(G, B, memory_size)``.  Outputs and gradients are equal (``==``)
-        to ``G`` independent :meth:`forward` calls: the forward computes
-        the same elementwise/reduction expressions over one broadcasted
+        state of a teacher-forced pass) and ``memory`` the encoder outputs
+        ``(T, B, memory_size)``; ``memory_proj`` is an optional output of
+        :meth:`precompute`.  Returns the contexts ``(G, B, memory_size)``.
+        Outputs and gradients are equal (``==``) to ``G`` independent
+        per-step attention calls, checked against the loop oracle in
+        ``tests/reference.py``: the forward computes the same
+        elementwise/reduction expressions over one broadcasted
         ``(T, G, B, A)`` array (each ``(t, g, b)`` cell sees the identical
         float ops), and the backward replays the per-step closures in the
         order the loop graph runs them (steps in reverse order; the query

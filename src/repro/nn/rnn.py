@@ -14,14 +14,9 @@ autograd node: the forward runs the recurrence in raw numpy (no per-step
 graph bookkeeping) and the backward hand-replays, step by step in reverse
 time, the exact closures the loop's autograd graph would have executed —
 the same numpy expressions, in the same accumulation order.  Outputs and
-gradients are therefore equal (``==``) to the step-by-step path; the fused
-regression suite (``tests/nn/test_fused.py``) enforces this, including a
-finite-difference check.  :class:`LSTM` uses the sweep by default
-(``fused=True``); the one observable difference is that the *final*
-``(h, c)`` state it returns is detached from the graph — the in-repo
-consumer (:class:`~repro.placement.seq2seq.Seq2SeqPlacer`) discards it,
-and callers that need to backpropagate through the final state can pass
-``fused=False``.
+gradients are therefore equal (``==``) to the step-by-step path, checked
+against the loop oracle in ``tests/reference.py`` by the fused regression
+suite (``tests/nn/test_fused.py``), including a finite-difference check.
 
 :func:`gate_forward` and :func:`gate_backward` hold the one copy of the
 raw-numpy LSTM gate step and its gradient replay; ``lstm_sweep`` and the
@@ -35,17 +30,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import init
-from .functional import concatenate, stack
+from .functional import concatenate
 from .module import Module, Parameter
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["LSTMCell", "LSTM", "BiLSTM", "lstm_sweep", "gate_forward", "gate_backward"]
 
-State = Tuple[Tensor, Tensor]
-
 
 class LSTMCell(Module):
-    """A single LSTM step with the standard i/f/g/o gating.
+    """The weights of one LSTM step with the standard i/f/g/o gating; the
+    step itself is :func:`gate_forward`.
 
     Gate order in the stacked weight matrices is ``[i, f, g, o]``.  The
     forget-gate bias is initialised to 1 (the usual trick for gradient flow
@@ -62,40 +56,12 @@ class LSTMCell(Module):
         bias[hidden_size : 2 * hidden_size] = 1.0  # forget gate
         self.bias = Parameter(bias, name="bias")
 
-    def forward(self, x: Tensor, state: Optional[State] = None) -> State:
-        """One step: ``x`` is ``(B, input_size)``; returns ``(h, c)``."""
-        if state is None:
-            state = self.zero_state(x.shape[0])
-        h, c = state
-        gates = x @ self.w_ih.T + h @ self.w_hh.T + self.bias
-        return self._apply_gates(gates, c)
-
-    def step_precomputed(self, x_proj: Tensor, state: State) -> State:
-        """One step where ``x_proj = x @ w_ih.T`` was computed in bulk."""
-        h, c = state
-        gates = x_proj + h @ self.w_hh.T + self.bias
-        return self._apply_gates(gates, c)
-
-    def _apply_gates(self, gates: Tensor, c: Tensor) -> State:
-        H = self.hidden_size
-        i = gates[..., 0 * H : 1 * H].sigmoid()
-        f = gates[..., 1 * H : 2 * H].sigmoid()
-        g = gates[..., 2 * H : 3 * H].tanh()
-        o = gates[..., 3 * H : 4 * H].sigmoid()
-        c_next = f * c + i * g
-        h_next = o * c_next.tanh()
-        return h_next, c_next
-
-    def zero_state(self, batch: int) -> State:
-        z = Tensor(np.zeros((batch, self.hidden_size)))
-        return z, z
-
 
 def gate_forward(gates: np.ndarray, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """One raw-numpy LSTM step from the pre-activation ``gates`` ``(B, 4H)``.
 
-    The same expressions, slice for slice, as :meth:`LSTMCell._apply_gates`
-    on tensors.  Returns ``(h_next, c_next, cache)``; ``cache`` is what
+    The same expressions, slice for slice, as the loop oracle's tensor
+    step in ``tests/reference.py``.  Returns ``(h_next, c_next, cache)``; ``cache`` is what
     :func:`gate_backward` needs.
     """
     H = gates.shape[-1] // 4
@@ -135,16 +101,13 @@ def gate_backward(
     return gg, g_ctot * f
 
 
-def lstm_sweep(
-    proj: Tensor, cell: LSTMCell, state: State, *, reverse: bool = False
-) -> Tuple[Tensor, State]:
+def lstm_sweep(proj: Tensor, cell: LSTMCell, *, reverse: bool = False) -> Tensor:
     """Fused multi-timestep LSTM: one autograd node for the whole recurrence.
 
     ``proj`` is the bulk input projection ``(T, B, 4H)`` (``x @ w_ih.T``,
     still an ordinary autograd matmul so input gradients are unchanged);
-    the recurrent sweep over time runs in raw numpy here.  Returns the
-    stacked hidden states ``(T, B, H)`` and the final ``(h, c)`` state
-    *detached* from the graph.
+    the recurrent sweep over time runs in raw numpy here, from a zero
+    start state.  Returns the stacked hidden states ``(T, B, H)``.
 
     The backward closure replays, in reverse time order, exactly the
     gradient expressions the per-step autograd graph executes — e.g.
@@ -163,7 +126,7 @@ def lstm_sweep(
     w = w_hh.data
     w_T = w.T
     b = bias.data
-    h, c = state[0].data, state[1].data
+    h = c = np.zeros((B, H))
     outputs = np.empty((T, B, H))
     # Per-step cache for the backward replay: (h_prev, gate cache), indexed
     # by sweep position k (not time t).
@@ -174,11 +137,10 @@ def lstm_sweep(
         h, c = h_next, c_next
         outputs[t] = h
 
-    final = (Tensor(h), Tensor(c))
-    parents = (proj, w_hh, bias, state[0], state[1])
+    parents = (proj, w_hh, bias)
     requires = is_grad_enabled() and any(p.requires_grad for p in parents)
     if not requires:
-        return Tensor(outputs), final
+        return Tensor(outputs)
 
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad)
@@ -207,11 +169,6 @@ def lstm_sweep(
             if k > 0:
                 g_h = grad[order[k - 1]].copy()
                 g_h += gg @ w
-            else:
-                if state[0].requires_grad:
-                    state[0]._accumulate(gg @ w)
-                if state[1].requires_grad:
-                    state[1]._accumulate(g_c)
         if w_hh.requires_grad:
             # Summed in the ``(in, out)`` layout of ``h.T @ gg``: the loop's
             # transpose nodes flip each term, which flips the same floats.
@@ -226,17 +183,16 @@ def lstm_sweep(
         if proj.requires_grad:
             proj._accumulate(g_proj)
 
-    out = Tensor(outputs, requires_grad=True, _parents=parents, _backward=backward)
-    return out, final
+    return Tensor(outputs, requires_grad=True, _parents=parents, _backward=backward)
 
 
 class LSTM(Module):
     """Unidirectional LSTM over a time-major sequence ``(T, B, input_size)``.
 
-    Returns the stacked hidden states ``(T, B, hidden_size)`` and the final
-    ``(h, c)`` state.  With ``fused=True`` (the default) the recurrence
-    runs through :func:`lstm_sweep` — same outputs and gradients, one
-    autograd node instead of ~12 per step, detached final state.
+    Returns the stacked hidden states ``(T, B, hidden_size)``.  The
+    recurrence runs through :func:`lstm_sweep`: one autograd node instead
+    of ~12 per step, checked against the loop oracle in
+    ``tests/reference.py``.
     """
 
     def __init__(
@@ -246,53 +202,31 @@ class LSTM(Module):
         *,
         rng: np.random.Generator,
         reverse: bool = False,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.reverse = reverse
-        self.fused = fused
 
-    def forward(self, x: Tensor, state: Optional[State] = None) -> Tuple[Tensor, State]:
+    def forward(self, x: Tensor) -> Tensor:
         T, B = x.shape[0], x.shape[1]
-        if state is None:
-            state = self.cell.zero_state(B)
         # Bulk input projection: one (T*B, I) @ (I, 4H) matmul.
         proj = x.reshape(T * B, x.shape[2]) @ self.cell.w_ih.T
         proj = proj.reshape(T, B, 4 * self.hidden_size)
-        if self.fused:
-            return lstm_sweep(proj, self.cell, state, reverse=self.reverse)
-        order = range(T - 1, -1, -1) if self.reverse else range(T)
-        outputs = [None] * T
-        for t in order:
-            state = self.cell.step_precomputed(proj[t], state)
-            outputs[t] = state[0]
-        return stack(outputs, axis=0), state
+        return lstm_sweep(proj, self.cell, reverse=self.reverse)
 
 
 class BiLSTM(Module):
     """Bidirectional LSTM: forward and backward passes, outputs concatenated.
 
-    The output is ``(T, B, 2 * hidden_size)``; the final state is the pair of
-    final states of the two directions concatenated along features.
+    The output is ``(T, B, 2 * hidden_size)``.
     """
 
-    def __init__(
-        self,
-        input_size: int,
-        hidden_size: int,
-        *,
-        rng: np.random.Generator,
-        fused: bool = True,
-    ) -> None:
+    def __init__(self, input_size: int, hidden_size: int, *, rng: np.random.Generator) -> None:
         super().__init__()
-        self.fwd = LSTM(input_size, hidden_size, rng=rng, reverse=False, fused=fused)
-        self.bwd = LSTM(input_size, hidden_size, rng=rng, reverse=True, fused=fused)
+        self.fwd = LSTM(input_size, hidden_size, rng=rng, reverse=False)
+        self.bwd = LSTM(input_size, hidden_size, rng=rng, reverse=True)
         self.hidden_size = hidden_size
 
-    def forward(self, x: Tensor) -> Tuple[Tensor, State]:
-        out_f, (h_f, c_f) = self.fwd(x)
-        out_b, (h_b, c_b) = self.bwd(x)
-        out = concatenate([out_f, out_b], axis=2)
-        return out, (concatenate([h_f, h_b], axis=1), concatenate([c_f, c_b], axis=1))
+    def forward(self, x: Tensor) -> Tensor:
+        return concatenate([self.fwd(x), self.bwd(x)], axis=2)

@@ -14,14 +14,14 @@ or **after** it (Hierarchical Planner's choice, Fig. 4b):
 All forward passes are batched over placements (time-major ``(G, B, D)``),
 so a PPO minibatch is a single pass.
 
-By default (``fused=True``) both attention modes run the decoder recurrence
-without per-step autograd nodes.  Teacher forcing makes every decoder input known
-upfront except the ``"before"`` context, which depends on the previous
-hidden state; :func:`_decode_sweep` therefore runs the recurrence —
-attention included — in raw numpy and backpropagates through it with a
-hand-written BPTT that replays the loop graph's closures in its
-accumulation order, so results stay bit-for-bit equal to the per-step loop
-(``fused=False``, the test oracle).  Sampling runs the same raw-numpy step
+Both attention modes run the decoder recurrence without per-step autograd
+nodes.  Teacher forcing makes every decoder input known upfront except the
+``"before"`` context, which depends on the previous hidden state;
+:func:`_decode_sweep` therefore runs the recurrence — attention included —
+in raw numpy and backpropagates through it with a hand-written BPTT that
+replays the loop graph's closures in its accumulation order, so results
+stay bit-for-bit equal to the per-step loop, checked against the loop
+oracle in ``tests/reference.py``.  Sampling runs the same raw-numpy step
 code.
 """
 
@@ -45,7 +45,7 @@ def _lstm_step(
 ):
     """One raw-numpy decoder step on the input ``concatenate(parts)``.
 
-    The same expressions as :meth:`LSTMCell.forward` on the loop graph;
+    The same expressions as the loop oracle's tensor decoder step;
     returns ``(inp, h_next, c_next, gate_cache)``.  ``out`` optionally
     receives the concatenated input ``inp``.
     """
@@ -209,17 +209,16 @@ class Seq2SeqPlacer(Module):
         Optional per-device initial logit offsets added to the output
         layer's bias (e.g. a negative value on the CPU so early samples
         prefer accelerators).  The bias remains trainable.
-    fused:
-        Use the fused hot paths (default): the encoder runs through
-        :func:`~repro.nn.rnn.lstm_sweep`; teacher-forced decodes run the
-        whole decoder recurrence — previous-device gather, ``"before"``
-        attention context, concat, LSTM step — as one
-        :func:`_decode_sweep` node with a hand-written BPTT backward
-        (``"after"`` attention is batched over the known hidden states
-        instead); and :meth:`sample` decodes in raw numpy through the same
-        step code.  Outputs, samples and gradients are equal (``==``) to
-        the step-by-step path, which ``fused=False`` keeps as the oracle —
-        enforced by ``tests/nn/test_fused.py``.
+
+    The encoder runs through :func:`~repro.nn.rnn.lstm_sweep`;
+    teacher-forced decodes run the whole decoder recurrence —
+    previous-device gather, ``"before"`` attention context, concat, LSTM
+    step — as one :func:`_decode_sweep` node with a hand-written BPTT
+    backward (``"after"`` attention is batched over the known hidden
+    states instead); and :meth:`sample` decodes in raw numpy through the
+    same step code.  Outputs, samples and gradients are equal (``==``) to
+    the step-by-step path, checked against the loop oracle in
+    ``tests/reference.py`` by ``tests/nn/test_fused.py``.
     """
 
     def __init__(
@@ -233,7 +232,6 @@ class Seq2SeqPlacer(Module):
         device_prior: Optional[np.ndarray] = None,
         *,
         rng: np.random.Generator,
-        fused: bool = True,
     ) -> None:
         super().__init__()
         if attention not in ("before", "after"):
@@ -244,13 +242,12 @@ class Seq2SeqPlacer(Module):
         self.num_devices = num_devices
         self.hidden = hidden
         self.attention = attention
-        self.fused = fused
         attn_size = attn_size or hidden // 2
         device_embed_dim = device_embed_dim or max(8, hidden // 8)
         self.device_embed_dim = device_embed_dim
 
         self.input_proj = Linear(embed_dim, hidden, rng=rng)
-        self.encoder = BiLSTM(hidden, hidden // 2, rng=rng, fused=fused)  # outputs (G, B, hidden)
+        self.encoder = BiLSTM(hidden, hidden // 2, rng=rng)  # outputs (G, B, hidden)
         # +1 device id: the start-of-decode token.
         self.device_embedding = Parameter(
             init.xavier_normal((num_devices + 1, device_embed_dim), rng), name="device_embedding"
@@ -277,28 +274,8 @@ class Seq2SeqPlacer(Module):
         if not isinstance(embeddings, Tensor):
             embeddings = Tensor(np.asarray(embeddings, dtype=np.float64))
         x = self.input_proj(embeddings).tanh()
-        enc_out, _ = self.encoder(x)
+        enc_out = self.encoder(x)
         return x, enc_out  # (G, B, hidden) each
-
-    def _tensor_steps(self, x: Tensor, enc_out: Tensor, memory_proj: Tensor):
-        """The per-step loop graph: ``step(i, prev_dev) -> logits Tensor``.
-
-        This is the decode every fused path must equal (``fused=False``).
-        """
-        state = self.decoder.zero_state(x.shape[1])
-
-        def step(i: int, prev_dev: np.ndarray) -> Tensor:
-            nonlocal state
-            dev_emb = self.device_embedding[prev_dev]  # (B, E)
-            if self.attention == "before":
-                context, _ = self.attn(state[0], enc_out, memory_proj)
-                state = self.decoder(concatenate([x[i], dev_emb, context], axis=1), state)
-                return self.out_proj(state[0])
-            state = self.decoder(concatenate([x[i], dev_emb], axis=1), state)
-            context, _ = self.attn(state[0], enc_out, memory_proj)
-            return self.out_proj(concatenate([state[0], context], axis=1))
-
-        return step
 
     def _numpy_steps(self, x: Tensor, enc_out: Tensor, memory_proj: Tensor):
         """The same decode in raw numpy (no graph): ``step(i, prev_dev) ->
@@ -337,9 +314,6 @@ class Seq2SeqPlacer(Module):
         prev_idx[0] = self.num_devices  # start token
         prev_idx[1:] = devices[:, : G - 1].T
 
-        if not self.fused:
-            step = self._tensor_steps(x, enc_out, memory_proj)
-            return stack([step(i, prev_idx[i]) for i in range(G)], axis=0)
         # Teacher forcing makes every decoder input known upfront, so the
         # gather/attend/concat/project/LSTM chain fuses into one
         # _decode_sweep node ("after" attention runs as one batched-scores
@@ -350,7 +324,7 @@ class Seq2SeqPlacer(Module):
             )
             return stack([self.out_proj(hs[i]) for i in range(G)], axis=0)
         hs = _decode_sweep(x, self.device_embedding, prev_idx, self.decoder)
-        contexts = self.attn.forward_batched(hs, enc_out, memory_proj)
+        contexts = self.attn(hs, enc_out, memory_proj)
         return stack(
             [self.out_proj(concatenate([hs[i], contexts[i]], axis=1)) for i in range(G)], axis=0
         )
@@ -363,9 +337,8 @@ class Seq2SeqPlacer(Module):
         — log-probs factored per decoding step.
 
         Runs without recording the autograd graph (sampling is cheap;
-        gradients come from :meth:`log_prob` on the stored actions); the
-        fused placer decodes in raw numpy, with results equal (``==``) to
-        the loop's.
+        gradients come from :meth:`log_prob` on the stored actions); it
+        decodes in raw numpy, with results equal (``==``) to the loop's.
         """
         if isinstance(embeddings, Tensor):
             embeddings = embeddings.data
@@ -374,11 +347,7 @@ class Seq2SeqPlacer(Module):
         with no_grad():
             x, enc_out = self._encode(embeddings)
             memory_proj = self.attn.precompute(enc_out)
-            if self.fused:
-                step = self._numpy_steps(x, enc_out, memory_proj)
-            else:
-                tensor_step = self._tensor_steps(x, enc_out, memory_proj)
-                step = lambda i, prev: tensor_step(i, prev).data  # noqa: E731
+            step = self._numpy_steps(x, enc_out, memory_proj)
             prev_dev = np.full(B, self.num_devices, dtype=np.int64)
             devices = np.empty((B, G), dtype=np.int64)
             logp = np.zeros((B, G))

@@ -4,8 +4,8 @@ The measurement-space *spec* shipped to a multi-tenant server
 (:mod:`repro.service.tenancy`) must carry everything that determines a
 deterministic evaluation: the op graph (already serialisable via
 :mod:`repro.graph.serialization`) plus the device topology and the cost
-model, serialised here.  The dict layouts deliberately mirror the
-canonical renderings in :mod:`repro.graph.fingerprint` — a round-tripped
+model, serialised here.  Each dict is the canonical rendering of
+:mod:`repro.graph.fingerprint` plus a ``format_version`` — a round-tripped
 topology or cost model therefore reproduces the *identical*
 ``placement_space_fingerprint``, which is what lets a server rebuilt from
 a spec accept the handshake of the client that shipped it.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..graph.fingerprint import cost_model_dict, topology_dict
 from .cost_model import CostModel
 from .devices import DeviceSpec, LinkSpec, Topology
 
@@ -28,13 +29,6 @@ __all__ = [
 _FORMAT_VERSION = 1
 
 
-def _link_to_dict(link: LinkSpec) -> Dict[str, float]:
-    return {
-        "bandwidth_bytes_per_s": link.bandwidth_bytes_per_s,
-        "latency_s": link.latency_s,
-    }
-
-
 def _link_from_dict(data: Dict[str, Any]) -> LinkSpec:
     return LinkSpec(
         bandwidth_bytes_per_s=float(data["bandwidth_bytes_per_s"]),
@@ -44,24 +38,7 @@ def _link_from_dict(data: Dict[str, Any]) -> LinkSpec:
 
 def topology_to_dict(topology: Topology) -> Dict[str, Any]:
     """Serialise a :class:`Topology` to plain JSON-compatible data."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "devices": [
-            {
-                "name": d.name,
-                "kind": d.kind,
-                "memory_bytes": d.memory_bytes,
-                "effective_gflops": d.effective_gflops,
-                "per_op_overhead": d.per_op_overhead,
-            }
-            for d in topology.devices
-        ],
-        "default_link": _link_to_dict(topology.default_link),
-        "links": sorted(
-            [list(pair), _link_to_dict(link)]
-            for pair, link in topology._links.items()
-        ),
-    }
+    return {"format_version": _FORMAT_VERSION, **topology_dict(topology)}
 
 
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
@@ -93,19 +70,7 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
 
 def cost_model_to_dict(cost_model: CostModel) -> Dict[str, Any]:
     """Serialise a :class:`CostModel` to plain JSON-compatible data."""
-    return {
-        "format_version": _FORMAT_VERSION,
-        "training_flops_multiplier": cost_model.training_flops_multiplier,
-        "param_memory_multiplier": cost_model.param_memory_multiplier,
-        "activation_memory_multiplier": cost_model.activation_memory_multiplier,
-        "send_overhead": cost_model.send_overhead,
-        "recv_overhead": cost_model.recv_overhead,
-        "gpu_dispatch": cost_model.gpu_dispatch,
-        "cpu_dispatch": cost_model.cpu_dispatch,
-        "default_efficiency": cost_model.default_efficiency,
-        "gpu_efficiency": dict(cost_model.gpu_efficiency),
-        "cpu_efficiency": dict(cost_model.cpu_efficiency),
-    }
+    return {"format_version": _FORMAT_VERSION, **cost_model_dict(cost_model)}
 
 
 def cost_model_from_dict(data: Dict[str, Any]) -> CostModel:

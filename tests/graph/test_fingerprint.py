@@ -1,11 +1,12 @@
 """Tests for the measurement-space fingerprints."""
 
 from repro.graph import (
+    cost_model_fingerprint,
     graph_fingerprint,
     placement_space_fingerprint,
     topology_fingerprint,
 )
-from repro.graph.models import build_chain, build_random_layered
+from repro.graph.models import build_benchmark, build_chain, build_random_layered
 from repro.sim import CostModel, LinkSpec, Topology
 
 
@@ -58,3 +59,26 @@ def test_placement_space_fingerprint_covers_all_inputs():
         graph, topo
     )
     assert placement_space_fingerprint(graph, topo) != base
+
+
+def test_digests_are_pinned():
+    """Persisted memo files and spaces are keyed by these digests: a change
+    to either rendering orphans every one of them."""
+    assert topology_fingerprint(Topology.default_4gpu()) == (
+        "f92eddb88b35fabbb292501f46de472662751708072d2f4e31fdf1da6a07181b"
+    )
+    assert cost_model_fingerprint(CostModel()) == (
+        "50ae8bf32c328cf2fdc36c0394c56c8f8d243e6bcf1228ac995fd5c5c3a33024"
+    )
+    two = Topology.default_4gpu(num_gpus=2)
+    with_link = Topology(two.devices, two.default_link, links={(0, 1): LinkSpec(1e9, 1e-6)})
+    assert topology_fingerprint(with_link) == (
+        "e93b7991177e0b4551dc28f73c63ca5d3d77ae6fb1e687b956004221de8b525a"
+    )
+    gnmt, topo = build_benchmark("gnmt"), Topology.default_4gpu()
+    assert placement_space_fingerprint(gnmt, topo, CostModel()) == (
+        "6beee6b9e277ee6ecd234db7aed40238ba26cc42cb7e10c2ed833cecc13140f0"
+    )
+    assert placement_space_fingerprint(gnmt, topo) == (
+        "f412272a83e53dfd352faaa1b84693fb614ab5977a609e1631d95b4cc76f9a71"
+    )

@@ -3,10 +3,13 @@
 The fused hot paths — :func:`repro.nn.rnn.lstm_sweep`, batched Bahdanau
 attention scores, and the :class:`Seq2SeqPlacer` fused teacher-forced
 decode — promise outputs *and* gradients bit-for-bit equal to the
-step-by-step loop graph.  These tests pin that promise, plus a
-finite-difference check so "fused equals loop" can never degrade into
-"fused equals an equally wrong loop".
+step-by-step loop graph, the oracle in ``tests/reference.py``.  These
+tests pin that promise, a spy shows the oracle side never enters a fused
+path, and finite-difference checks keep "fused equals loop" from
+degrading into "fused equals an equally wrong loop".
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,15 +20,40 @@ from repro.nn.rnn import LSTMCell, lstm_sweep
 from repro.placement.seq2seq import Seq2SeqPlacer
 
 from tests.conftest import numeric_gradient
+from tests.reference import (
+    FusedPathSpy,
+    reference_attend,
+    reference_bilstm,
+    reference_lstm,
+    use_reference_decode,
+)
+
+
+def _loop_twin(module, oracle):
+    """``module`` running its forward through the loop ``oracle``."""
+    module.forward = partial(oracle, module)
+    return module
 
 
 def _lstm_pair(rng_seed, input_size=5, hidden=7, reverse=False):
     """Two LSTMs with identical weights, one fused and one step-by-step."""
-    fused = LSTM(input_size, hidden, rng=np.random.default_rng(rng_seed),
-                 reverse=reverse, fused=True)
-    loop = LSTM(input_size, hidden, rng=np.random.default_rng(rng_seed),
-                reverse=reverse, fused=False)
-    return fused, loop
+    make = lambda: LSTM(  # noqa: E731
+        input_size, hidden, rng=np.random.default_rng(rng_seed), reverse=reverse
+    )
+    return make(), _loop_twin(make(), reference_lstm)
+
+
+def _lstm_gradcheck(lstm, rng):
+    x0 = rng.normal(size=2 * 2 * 3)
+
+    def fn(flat):
+        out = lstm(Tensor(flat.reshape(2, 2, 3)))
+        return (out * out).sum().item()
+
+    t = Tensor(x0.reshape(2, 2, 3), requires_grad=True)
+    out = lstm(t)
+    (out * out).sum().backward()
+    assert np.allclose(t.grad.ravel(), numeric_gradient(fn, x0), atol=1e-5)
 
 
 class TestLSTMSweep:
@@ -36,8 +64,8 @@ class TestLSTMSweep:
         x = np.random.default_rng(1).normal(size=(T, B, 5))
         xa = Tensor(x.copy(), requires_grad=True)
         xb = Tensor(x.copy(), requires_grad=True)
-        out_a, _ = fused(xa)
-        out_b, _ = loop(xb)
+        out_a = fused(xa)
+        out_b = loop(xb)
         assert np.array_equal(out_a.data, out_b.data)
 
         w = np.random.default_rng(2).normal(size=out_a.shape)
@@ -47,42 +75,27 @@ class TestLSTMSweep:
         for pa, pb in zip(fused.parameters(), loop.parameters()):
             assert np.array_equal(pa.grad, pb.grad), pa.name
 
-    def test_final_state_values_match_loop(self, rng):
-        fused, loop = _lstm_pair(3)
-        x = Tensor(rng.normal(size=(6, 2, 5)))
-        _, (ha, ca) = fused(x)
-        _, (hb, cb) = loop(x)
-        assert np.array_equal(ha.data, hb.data)
-        assert np.array_equal(ca.data, cb.data)
-
     def test_sweep_rejects_empty_sequence(self, rng):
         cell = LSTMCell(4, 4, rng=rng)
         proj = Tensor(np.zeros((0, 2, 16)))
         with pytest.raises(ValueError, match="at least one timestep"):
-            lstm_sweep(proj, cell, cell.zero_state(2))
+            lstm_sweep(proj, cell)
 
     def test_gradcheck_against_finite_differences(self, rng):
         """The fused gradient is the true gradient, not just the loop's."""
-        lstm = LSTM(3, 4, rng=rng, fused=True)
-        x0 = rng.normal(size=2 * 2 * 3)
+        _lstm_gradcheck(LSTM(3, 4, rng=rng), rng)
 
-        def fn(flat):
-            out, _ = lstm(Tensor(flat.reshape(2, 2, 3)))
-            return (out * out).sum().item()
-
-        t = Tensor(x0.reshape(2, 2, 3), requires_grad=True)
-        out, _ = lstm(t)
-        (out * out).sum().backward()
-        assert np.allclose(t.grad.ravel(), numeric_gradient(fn, x0), atol=1e-5)
+    def test_oracle_gradcheck_against_finite_differences(self, rng):
+        _lstm_gradcheck(_loop_twin(LSTM(3, 4, rng=rng), reference_lstm), rng)
 
     def test_bilstm_fused_matches_loop(self, rng):
-        a = BiLSTM(4, 6, rng=np.random.default_rng(5), fused=True)
-        b = BiLSTM(4, 6, rng=np.random.default_rng(5), fused=False)
+        a = BiLSTM(4, 6, rng=np.random.default_rng(5))
+        b = _loop_twin(BiLSTM(4, 6, rng=np.random.default_rng(5)), reference_bilstm)
         x = rng.normal(size=(5, 3, 4))
         xa = Tensor(x.copy(), requires_grad=True)
         xb = Tensor(x.copy(), requires_grad=True)
-        out_a, _ = a(xa)
-        out_b, _ = b(xb)
+        out_a = a(xa)
+        out_b = b(xb)
         assert np.array_equal(out_a.data, out_b.data)
         out_a.sum().backward()
         out_b.sum().backward()
@@ -108,9 +121,9 @@ class TestBatchedAttention:
         mb = Tensor(mem.copy(), requires_grad=True)
 
         mp_a = attn_a.precompute(ma)
-        ctx_a = attn_a.forward_batched(qa, ma, mp_a)
+        ctx_a = attn_a(qa, ma, mp_a)
         mp_b = attn_b.precompute(mb)
-        steps = [attn_b(qb[i], mb, mp_b)[0] for i in range(G)]
+        steps = [reference_attend(attn_b, qb[i], mb, mp_b)[0] for i in range(G)]
         ctx_b = stack(steps, axis=0)
         assert np.array_equal(ctx_a.data, ctx_b.data)
 
@@ -127,16 +140,18 @@ class TestBatchedAttention:
         attn = self._attn(2)
         q = Tensor(rng.normal(size=(3, 2, 6)))
         mem = Tensor(np.ones((5, 2, 8)))
-        ctx = attn.forward_batched(q, mem)
+        ctx = attn(q, mem)
         assert np.allclose(ctx.data, 1.0)
 
 
 def _placer_pair(seed, attention, hidden=12, **kw):
-    make = lambda fused: Seq2SeqPlacer(  # noqa: E731
+    """Two placers with identical weights: the shipped one and its twin
+    that decodes and samples through the loop oracle."""
+    make = lambda: Seq2SeqPlacer(  # noqa: E731
         embed_dim=6, num_devices=4, hidden=hidden, attention=attention,
-        rng=np.random.default_rng(seed), fused=fused, **kw
+        rng=np.random.default_rng(seed), **kw
     )
-    return make(True), make(False)
+    return make(), use_reference_decode(make())
 
 
 def _assert_decode_bit_for_bit(a, b, G, B, rng):
@@ -219,43 +234,78 @@ class TestSeq2SeqFusedDecode:
 
     @pytest.mark.parametrize("attention", ATTENTION_MODES)
     def test_fused_gradcheck_against_finite_differences(self, rng, attention):
-        placer, _ = _placer_pair(14, attention)
-        G, B = 3, 2
-        devices = np.random.default_rng(15).integers(0, 4, size=(B, G))
-        x0 = rng.normal(size=G * B * 6)
+        _input_gradcheck(_placer_pair(14, attention)[0], rng)
 
-        def fn(flat):
-            lp = placer.log_prob(flat.reshape(G, B, 6), devices)
-            return lp.sum().item()
-
-        t = Tensor(x0.reshape(G, B, 6), requires_grad=True)
-        placer.log_prob(t, devices).sum().backward()
-        assert np.allclose(t.grad.ravel(), numeric_gradient(fn, x0), atol=1e-5)
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_oracle_gradcheck_against_finite_differences(self, rng, attention):
+        _input_gradcheck(_placer_pair(14, attention)[1], rng)
 
     @pytest.mark.parametrize("attention", ATTENTION_MODES)
     def test_fused_parameter_gradcheck(self, attention):
         """Every placer parameter's fused gradient is the true gradient of
         the log-prob + entropy loss (spot-checked entries)."""
-        placer, _ = _placer_pair(16, attention)
-        rng = np.random.default_rng(17)
-        G, B = 3, 2
-        emb = rng.normal(size=(G, B, 6))
-        devices = rng.integers(0, 4, size=(B, G))
+        _parameter_gradcheck(_placer_pair(16, attention)[0])
 
-        def loss():
-            lp, ent = placer.log_prob_and_entropy(emb, devices)
-            return lp.sum() + ent * 0.5
+    @pytest.mark.parametrize("attention", ATTENTION_MODES)
+    def test_oracle_parameter_gradcheck(self, attention):
+        _parameter_gradcheck(_placer_pair(16, attention)[1])
 
-        placer.zero_grad()
-        loss().backward()
-        for param in placer.parameters():
-            flat = param.data.reshape(-1)
-            for k in rng.choice(flat.size, size=min(3, flat.size), replace=False):
-                old = flat[k]
-                flat[k] = old + 1e-6
-                up = loss().item()
-                flat[k] = old - 1e-6
-                down = loss().item()
-                flat[k] = old
-                numeric = (up - down) / 2e-6
-                assert np.isclose(param.grad.reshape(-1)[k], numeric, atol=1e-5), param.name
+
+def _input_gradcheck(placer, rng):
+    G, B = 3, 2
+    devices = np.random.default_rng(15).integers(0, 4, size=(B, G))
+    x0 = rng.normal(size=G * B * 6)
+
+    def fn(flat):
+        lp = placer.log_prob(flat.reshape(G, B, 6), devices)
+        return lp.sum().item()
+
+    t = Tensor(x0.reshape(G, B, 6), requires_grad=True)
+    placer.log_prob(t, devices).sum().backward()
+    assert np.allclose(t.grad.ravel(), numeric_gradient(fn, x0), atol=1e-5)
+
+
+def _parameter_gradcheck(placer):
+    rng = np.random.default_rng(17)
+    G, B = 3, 2
+    emb = rng.normal(size=(G, B, 6))
+    devices = rng.integers(0, 4, size=(B, G))
+
+    def loss():
+        lp, ent = placer.log_prob_and_entropy(emb, devices)
+        return lp.sum() + ent * 0.5
+
+    placer.zero_grad()
+    loss().backward()
+    for param in placer.parameters():
+        flat = param.data.reshape(-1)
+        for k in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+            old = flat[k]
+            flat[k] = old + 1e-6
+            up = loss().item()
+            flat[k] = old - 1e-6
+            down = loss().item()
+            flat[k] = old
+            numeric = (up - down) / 2e-6
+            assert np.isclose(param.grad.reshape(-1)[k], numeric, atol=1e-5), param.name
+
+
+@pytest.mark.parametrize("attention", ATTENTION_MODES)
+def test_oracle_never_enters_a_fused_path(monkeypatch, attention):
+    """The loop twin runs none of the fused paths, and the shipped placer
+    runs each one its attention mode uses — so the ``==`` suites above
+    compare two different graphs, not the fused path with itself."""
+    fused, loop = _placer_pair(18, attention)
+    spy = FusedPathSpy(monkeypatch)
+    rng = np.random.default_rng(19)
+    emb = rng.normal(size=(4, 2, 6))
+    devices = rng.integers(0, 4, size=(2, 4))
+    for placer in (loop, fused):
+        lp, ent = placer.log_prob_and_entropy(Tensor(emb, requires_grad=True), devices)
+        (lp.sum() + ent).backward()
+        placer.sample(emb, np.random.default_rng(20))
+    assert spy.paths(loop) == set()
+    expected = {"lstm_sweep", "_decode_sweep", "_numpy_steps"}
+    if attention == "after":
+        expected.add("forward")
+    assert spy.paths(fused) == expected

@@ -18,6 +18,8 @@ from repro import (
 from repro.graph.models import build_benchmark
 from repro.sim import OutOfMemoryError, Topology
 
+from tests.reference import FusedPathSpy, use_reference_decode
+
 
 @pytest.fixture(scope="module")
 def small_gnmt():
@@ -83,20 +85,24 @@ class TestFusedPlacerGolden:
     """The fused seq2seq placer is results-neutral end to end: an EAGLE PPO
     search (grouper -> bridge -> attention-before placer, gradients flowing
     through all three) returns the same ``SearchResult`` and the same
-    trained weights as one whose placer runs the per-step loop graph."""
+    trained weights as one whose placer runs the per-step loop graph of
+    ``tests/reference.py``."""
 
-    def _search(self, graph, fused):
+    def _search(self, graph, fused, spy):
         env = PlacementEnvironment(graph, seed=0)
         agent = EagleAgent(graph, env.num_devices, num_groups=8, placer_hidden=16, seed=0)
-        for module in agent.placer.modules():
-            if hasattr(module, "fused"):
-                module.fused = fused
+        if not fused:
+            use_reference_decode(agent.placer)
+        spy.entered.clear()
         result = PlacementSearch(agent, env, "ppo", SearchConfig(max_samples=30)).run()
+        expected = {"lstm_sweep", "_decode_sweep", "_numpy_steps"} if fused else set()
+        assert spy.paths(agent.placer) == expected
         return result, agent
 
-    def test_fused_and_loop_searches_are_equal(self, small_gnmt):
-        fused, fused_agent = self._search(small_gnmt, True)
-        loop, loop_agent = self._search(small_gnmt, False)
+    def test_fused_and_loop_searches_are_equal(self, small_gnmt, monkeypatch):
+        spy = FusedPathSpy(monkeypatch)
+        fused, fused_agent = self._search(small_gnmt, True, spy)
+        loop, loop_agent = self._search(small_gnmt, False, spy)
         assert replace(fused, best_placement=None) == replace(loop, best_placement=None)
         assert np.array_equal(fused.best_placement, loop.best_placement)
         for (name, a), b in zip(fused_agent.named_parameters(), loop_agent.parameters()):
